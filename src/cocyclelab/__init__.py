@@ -1,6 +1,6 @@
 """cocyclelab: numerics for quasiperiodic SL(2,R) cocycles.
 
-Library + CLI covering Lyapunov exponents, fibered rotation numbers,
+Library covering Lyapunov exponents, fibered rotation numbers,
 monotonicity certification, complexified invariant sections, Kotani
 diagnostics, the conformal barycenter and continued-fraction
 renormalization, with quantitative identity checks at desk scale.

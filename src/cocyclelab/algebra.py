@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BoundaryPoint,
     DegenerateTau,
+    NonIntegerWinding,
     PoleOnCircle,
     UnwrapStep,
 )
@@ -55,13 +56,6 @@ def disk_coords(A):
 def from_disk_coords(M):
     """Inverse of disk_coords."""
     return QINV @ np.asarray(M) @ Q
-
-
-def unimodularize(M):
-    """Rescale M by det^(-1/2), branch nearest +1 (repairs drift only)."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    s = np.sqrt(det)  # principal branch; det ~ 1 so s ~ +1
-    return M / s[..., None, None]
 
 
 def mobius_apply(M, z):
@@ -134,13 +128,6 @@ def tau(M, z, check=True):
     return t
 
 
-@dataclass(frozen=True)
-class PhaseLift:
-    """Continuous lift of arg/2pi along a sampled path (in revolutions)."""
-
-    values: np.ndarray
-
-
 def unwrap_args(seq, axis=0, max_jump=UNWRAP_MAX_JUMP):
     """Continuous lift of arg(seq)/2pi along `axis`; lift starts in [0, 1).
 
@@ -165,9 +152,27 @@ def unwrap_args(seq, axis=0, max_jump=UNWRAP_MAX_JUMP):
     )
 
 
-def phase_unwrap(seq):
-    """PhaseLift of a 1-d sequence of nonzero complex numbers."""
-    return PhaseLift(unwrap_args(np.asarray(seq, dtype=complex).ravel()))
+def winding(sample, samples, max_samples=65536):
+    """Integer winding number of a sampled closed loop.
+
+    sample(n) returns n + 1 nonzero complex points along the loop, the last
+    one closing it.  On UnwrapStep n doubles while 2n <= max_samples, else
+    the error propagates; a lift endpoint farther than 0.1 from an integer
+    raises NonIntegerWinding.
+    """
+    n = samples
+    while True:
+        try:
+            lift = unwrap_args(sample(n))
+            break
+        except UnwrapStep:
+            if 2 * n > max_samples:
+                raise
+            n *= 2
+    wind = lift[-1] - lift[0]
+    if abs(wind - round(wind)) > 0.1:
+        raise NonIntegerWinding(f"winding {wind:.4f} not near an integer")
+    return int(round(wind))
 
 
 def _check_in_disk(z):

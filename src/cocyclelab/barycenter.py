@@ -3,11 +3,16 @@
 The pairing z * w is the hyperbolic geodesic midpoint; a measure is paired
 with itself (pushforward of the product measure under *) and the energy
 Phi(mu) = sum w / (1 - |z|^2) strictly decreases until the measure
-concentrates at the barycenter.  A finite-atom realization needs a
-compaction policy: atoms merge within a hyperbolic radius (weight-ordered
-greedy clustering, which is Moebius-equivariant up to weight ties), tiny
-weights merge into their nearest atom, and the atom count stays below a
-hard cap.
+concentrates at the barycenter.
+
+A finite-atom realization needs a merge policy, and it has one mechanism:
+give every atom a group id, then fold each group to its weighted geodesic
+combination (`_fold_runs`, Phi-nonincreasing).  The ids come from three
+rules.  The pairing groups coinciding atoms and sends each atom of weight
+below WEIGHT_FLOOR to its Euclidean-nearest atom above it.  Compaction
+groups atoms sharing a MERGE_RADIUS/4 quantization box, then clusters them
+greedily in weight order within a hyperbolic radius (Moebius-equivariant up
+to weight ties), doubling the radius until at most BUDGET atoms remain.
 """
 
 from dataclasses import dataclass
@@ -15,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .errors import AtomBlowup, BoundaryPoint, NoConvergence
+from .errors import AtomBlowup, BoundaryPoint, NoConvergence, PhiIncrease
 
 HARD_PAIR_LIMIT = 1 << 24
 WEIGHT_FLOOR = 1e-15
 MERGE_RADIUS = 1e-9
+BUDGET = 64
 ATOM_CAP = 4096
+MAX_ITER = 200
+_NEAREST_BLOCK = 1 << 20  # distance entries per block of _nearest
 
 
 @dataclass
@@ -125,25 +133,27 @@ def _fold(z_keep, w_keep, z_in, w_in):
     return geodesic_point(z_keep, z_in, frac), total
 
 
-def _merge_small_weights(atoms, weights, floor):
-    small = weights < floor
-    if not np.any(small) or np.all(small):
-        return atoms, weights
-    big_atoms = atoms[~small].copy()
-    big_weights = weights[~small].copy()
-    for z, w in zip(atoms[small], weights[small]):
-        k = np.argmin(np.abs(big_atoms - z))
-        zk, wk = _fold(big_atoms[k : k + 1], big_weights[k : k + 1], z, w)
-        big_atoms[k] = zk[0]
-        big_weights[k] = wk[0]
-    return big_atoms, big_weights
+def _nearest(points, targets):
+    """Index of the Euclidean-nearest target of each point, first on ties.
+
+    Distances are taken in blocks of at most _NEAREST_BLOCK entries, so a
+    large pairing never builds its full points x targets matrix.
+    """
+    rows = max(1, _NEAREST_BLOCK // len(targets))
+    return np.concatenate(
+        [
+            np.argmin(np.abs(points[k : k + rows, None] - targets), axis=1)
+            for k in range(0, len(points), rows)
+        ]
+    )
 
 
-def pair_measures(mu, nu, prune=True, weight_floor=WEIGHT_FLOOR):
+def pair_measures(mu, nu):
     """Pushforward of mu x nu under the midpoint pairing.
 
-    Atom count is |mu|*|nu| (halved by symmetry when mu is nu); weights
-    below the floor merge into their nearest atom when prune is set.
+    Atom count is |mu|*|nu| (halved by symmetry when mu is nu).  Coinciding
+    atoms merge, and each atom of weight below WEIGHT_FLOOR folds into its
+    Euclidean-nearest atom above the floor, in one `_fold_runs` call.
     """
     n, m = len(mu.atoms), len(nu.atoms)
     if n * m > HARD_PAIR_LIMIT:
@@ -158,34 +168,17 @@ def pair_measures(mu, nu, prune=True, weight_floor=WEIGHT_FLOOR):
             np.repeat(mu.atoms, m), np.tile(nu.atoms, n)
         )
         w = np.repeat(mu.weights, m) * np.tile(nu.weights, n)
-    atoms, w = _dedupe_exact(atoms, w)
-    if prune:
-        atoms, w = _merge_small_weights(atoms, w, weight_floor)
-    return DiskMeasure(atoms, w / w.sum())
-
-
-def _dedupe_exact(atoms, weights):
-    uniq, inv = np.unique(atoms, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inv, weights)
-    return uniq, w
-
-
-def _dedupe_quantized(atoms, weights, resolution):
-    """Fold atoms sharing a quantization box of the given Euclidean size.
-
-    Cheap stand-in for radius merging at scales far below tol; the box
-    assignment is the only non-equivariant step and is bounded by
-    `resolution`, two orders below the convergence tolerance in use.
-    """
-    key = np.round(atoms.real / resolution) + 1j * np.round(
-        atoms.imag / resolution
-    )
-    uniq, ids = np.unique(key, return_inverse=True)
-    if len(uniq) == len(atoms):
-        return atoms, weights
-    z, w, _ = _fold_runs(atoms, weights, ids)
-    return z, w
+    uniq, ids = np.unique(atoms, return_inverse=True)
+    small = np.bincount(ids, weights=w, minlength=len(uniq)) < WEIGHT_FLOOR
+    group = np.arange(len(uniq))
+    if np.any(small) and not np.all(small):
+        big = np.flatnonzero(~small)
+        group[small] = big[_nearest(uniq[small], uniq[big])]
+    # zero scores: a group is copies of one point plus atoms below the floor,
+    # so its fold order matters only far below tol, which does not pay for
+    # the O(n^2) invariant tiebreak
+    z, w, _ = _fold_runs(atoms, w, group[ids], scores=np.zeros(len(atoms)))
+    return DiskMeasure(z, w / w.sum())
 
 
 def _invariant_scores(atoms, weights):
@@ -254,28 +247,18 @@ def _fold_runs(atoms, weights, ids, scores=None):
         z, w, cid = z[keep], w[keep], cid[keep]
 
 
-def _greedy_cluster(atoms, weights, radius, scores=None):
-    """Weight-ordered greedy merge of atoms within hyperbolic `radius`."""
-    if scores is None:
-        scores = _invariant_scores(atoms, weights)
-    order = _order(atoms, weights, scores)
-    atoms = atoms[order]
-    weights = weights[order]
-    scores = scores[order]
+def _greedy_cluster(atoms, weights, radius, scores):
+    """Group ids of a weight-ordered greedy merge within hyperbolic `radius`."""
     ids = np.full(len(atoms), -1, dtype=int)
     next_id = 0
-    idx = 0
-    while True:
-        while idx < len(atoms) and ids[idx] >= 0:
-            idx += 1
-        if idx >= len(atoms):
-            break
-        live = np.where(ids < 0)[0]
+    for idx in _order(atoms, weights, scores):
+        if ids[idx] >= 0:
+            continue
+        live = np.flatnonzero(ids < 0)
         d = alg.hyperbolic_distance_unchecked(atoms[live], atoms[idx])
         ids[live[d <= radius]] = next_id
         next_id += 1
-    z, w, _ = _fold_runs(atoms, weights, ids, scores=scores)
-    return z, w
+    return ids
 
 
 def _ref_scores(atoms, ref):
@@ -283,44 +266,45 @@ def _ref_scores(atoms, ref):
     return np.round(d / max(np.max(d), 1e-300), 12)
 
 
-def _compact(measure, budget, merge_radius, ref=None):
+def _compact(measure, ref=None):
+    """Fold atoms sharing a MERGE_RADIUS/4 box, then cluster to BUDGET atoms.
+
+    The box assignment is the only non-equivariant step; it acts two orders
+    below the convergence tolerance in use.
+    """
     atoms, weights = measure.atoms, measure.weights
     ref = measure.canonical_point() if ref is None else ref
-    atoms, weights = _dedupe_quantized(atoms, weights, merge_radius / 4.0)
-    if len(atoms) > budget:
-        dmax = measure.spread(ref)[0]
-        # invariant starting radius aimed at the budget in one pass
-        radius = max(merge_radius, dmax / (2.0 * np.sqrt(budget)))
-        for _ in range(60):
-            scores = _ref_scores(atoms, ref)
-            atoms, weights = _greedy_cluster(atoms, weights, radius, scores)
-            if len(atoms) <= budget:
-                break
-            radius *= 2.0
+    box = MERGE_RADIUS / 4.0
+    _, ids = np.unique(
+        np.round(atoms.real / box) + 1j * np.round(atoms.imag / box),
+        return_inverse=True,
+    )
+    atoms, weights, _ = _fold_runs(
+        atoms, weights, ids, scores=_ref_scores(atoms, ref)
+    )
+    # invariant starting radius aimed at the budget in one pass
+    radius = max(MERGE_RADIUS, measure.spread(ref)[0] / (2.0 * np.sqrt(BUDGET)))
+    for _ in range(60):
+        if len(atoms) <= BUDGET:
+            break
+        scores = _ref_scores(atoms, ref)
+        ids = _greedy_cluster(atoms, weights, radius, scores)
+        atoms, weights, _ = _fold_runs(atoms, weights, ids, scores=scores)
+        radius *= 2.0
     return DiskMeasure(atoms, weights / weights.sum())
 
 
-def conformal_barycenter(
-    measure,
-    tol=1e-8,
-    max_iter=200,
-    budget=64,
-    atom_cap=ATOM_CAP,
-    merge_radius=MERGE_RADIUS,
-    return_trace=False,
-):
+def conformal_barycenter(measure, tol=1e-8, return_trace=False):
     """Barycenter location by iterated self-pairing, to hyperbolic tol.
 
     Stops when the measure's hyperbolic diameter is below tol (or its
-    weighted variance below tol^2) and returns the heaviest atom.  The
-    energy Phi must decrease across iterations; `budget <= atom_cap`
-    controls the working resolution of the compaction policy.
+    weighted variance below tol^2) and returns the heaviest atom.  Raises
+    PhiIncrease if the energy Phi rises across an iteration, and
+    NoConvergence after MAX_ITER iterations.
     """
-    if budget > atom_cap:
-        raise ValueError("budget exceeds the atom cap")
-    mu = _compact(measure, budget, merge_radius)
+    mu = _compact(measure)
     trace = [phi(mu)]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         ref = mu.canonical_point()
         dmax, rms = mu.spread(ref)
         if 2.0 * dmax < tol or rms * rms < tol * tol:
@@ -328,15 +312,18 @@ def conformal_barycenter(
                 return mu.heaviest(), trace
             return mu.heaviest()
         mu = pair_measures(mu, mu)
-        if len(mu.atoms) > budget:
-            mu = _compact(mu, budget, merge_radius, ref=ref)
-        if len(mu.atoms) > atom_cap:
+        if len(mu.atoms) > BUDGET:
+            mu = _compact(mu, ref=ref)
+        if len(mu.atoms) > ATOM_CAP:
             raise AtomBlowup(f"{len(mu.atoms)} atoms despite compaction")
         trace.append(phi(mu))
         # pairing strictly decreases Phi; compaction may add O(radius)
-        assert trace[-1] <= trace[-2] + 1e-9, "Phi increased"
+        if trace[-1] > trace[-2] + 1e-9:
+            raise PhiIncrease(
+                f"Phi rose from {trace[-2]:.12g} to {trace[-1]:.12g}"
+            )
     raise NoConvergence(
-        f"diameter {2 * mu.spread()[0]:.3e} after {max_iter} iterations",
+        f"diameter {2 * mu.spread()[0]:.3e} after {MAX_ITER} iterations",
         diameter=2 * mu.spread()[0],
     )
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .errors import NonIntegerWinding, UnwrapStep
 from .trig import TrigPoly
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -606,33 +605,21 @@ def homotopy_class(cocycle_or_expr, samples=1024, max_samples=65536):
     """Winding vector of the first column around each coordinate loop.
 
     Doubles the sampling on UnwrapStep up to max_samples; rejects lifts whose
-    endpoint is not within 0.1 of an integer.
+    endpoint is not within 0.1 of an integer (see `algebra.winding`).
     """
     expr = getattr(cocycle_or_expr, "expr", cocycle_or_expr)
     d = expr.dim
-    out = []
-    for j in range(d):
-        n = samples
-        while True:
-            xs = np.zeros((n + 1, d))
-            xs[:, j] = np.linspace(0.0, 1.0, n + 1)
-            mats = expr.eval(xs)
-            col = mats[..., 0, 0] + 1j * mats[..., 1, 0]
-            try:
-                lift = alg.unwrap_args(col)
-            except UnwrapStep:
-                if 2 * n > max_samples:
-                    raise
-                n *= 2
-                continue
-            wind = lift[-1] - lift[0]
-            if abs(wind - round(wind)) > 0.1:
-                raise NonIntegerWinding(
-                    f"winding {wind:.4f} not near an integer"
-                )
-            out.append(int(round(wind)))
-            break
-    return tuple(out)
+
+    def column(j, n):
+        xs = np.zeros((n + 1, d))
+        xs[:, j] = np.linspace(0.0, 1.0, n + 1)
+        mats = expr.eval(xs)
+        return mats[..., 0, 0] + 1j * mats[..., 1, 0]
+
+    return tuple(
+        alg.winding(lambda n: column(j, n), samples, max_samples)
+        for j in range(d)
+    )
 
 
 # -- families -------------------------------------------------------------------
@@ -739,32 +726,20 @@ class Family:
             )
         raise ValueError(f"unknown family kind {self.kind}")
 
-    def x_bounds(self, direction):
-        """(M0, M1, M2) sup bounds along a base direction at fixed theta."""
-        return self.theta_cocycle(0.0).expr.bounds(direction)
-
     def fiber_degree(self, x0=None, samples=2048):
         """Winding of theta -> A_theta(x0) e_1 over one parameter loop."""
         x0 = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
-        thetas = np.linspace(0.0, 1.0, samples + 1)
-        n = samples
-        while True:
-            thetas = np.linspace(0.0, 1.0, n + 1)
+
+        def column(n):
             mats = np.stack(
-                [self.eval_theta(t, x0[None, :])[0] for t in thetas]
+                [
+                    self.eval_theta(t, x0[None, :])[0]
+                    for t in np.linspace(0.0, 1.0, n + 1)
+                ]
             )
-            col = mats[:, 0, 0] + 1j * mats[:, 1, 0]
-            try:
-                lift = alg.unwrap_args(col)
-            except UnwrapStep:
-                n *= 2
-                if n > 65536:
-                    raise
-                continue
-            wind = lift[-1] - lift[0]
-            if abs(wind - round(wind)) > 0.1:
-                raise NonIntegerWinding(f"fiber winding {wind:.4f}")
-            return int(round(wind))
+            return mats[:, 0, 0] + 1j * mats[:, 1, 0]
+
+        return alg.winding(column, samples)
 
     def to_json(self):
         out = {"kind": self.kind, "cocycle": self.cocycle.to_json()}

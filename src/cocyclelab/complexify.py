@@ -48,10 +48,6 @@ class AHKernel:
     values: np.ndarray
     moment_residuals: np.ndarray = field(repr=False)
 
-    @property
-    def grid_step(self):
-        return self.xs[1] - self.xs[0]
-
     def moment(self, k):
         return np.trapezoid(self.values * self.xs**k, self.xs)
 

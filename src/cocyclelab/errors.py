@@ -73,6 +73,10 @@ class NoConvergence(CocycleLabError):
         self.diameter = diameter
 
 
+class PhiIncrease(CocycleLabError):
+    """Barycenter energy Phi rose across an iteration (merge policy fault)."""
+
+
 class AtomBlowup(CocycleLabError):
     """Atom count exceeded the hard cap before compaction could act."""
 
@@ -93,21 +97,6 @@ class PeriodicityResidual(CocycleLabError):
     """Renormalization representative failed the 1-periodicity check."""
 
 
-class SmallDivisor(CocycleLabError):
-    """Cohomological equation hit resonant modes; offenders in .modes."""
-
-    def __init__(self, msg, modes=None):
-        super().__init__(msg)
-        self.modes = modes or []
-
-
-class LatticeSearchFail(CocycleLabError):
-    """No lattice vector approximates the target constant within tolerance."""
-
-
 class NotAtZeroEnergy(CocycleLabError):
     """Derivative-bound check requires L close to zero at the base point."""
 
-
-class ConfigError(CocycleLabError):
-    """Malformed or incomplete experiment configuration."""

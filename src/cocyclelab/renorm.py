@@ -22,10 +22,8 @@ from .cocycle import Cocycle
 from .errors import (
     ChartMiss,
     CommutationResidual,
-    NonIntegerWinding,
     PeriodicityResidual,
     RationalAlpha,
-    UnwrapStep,
 )
 
 
@@ -309,11 +307,9 @@ def sampled_degree(rep):
     """Winding of the first column of a sampled cocycle over one period."""
     col = rep.mats[:, 0, 0] + 1j * rep.mats[:, 1, 0]
     closed = np.concatenate([col, col[:1]])
-    lift = alg.unwrap_args(closed)
-    wind = lift[-1] - lift[0]
-    if abs(wind - round(wind)) > 0.1:
-        raise NonIntegerWinding(f"winding {wind:.4f}")
-    return int(round(wind))
+    # fixed samples: max_samples = samples, so an UnwrapStep propagates
+    n = len(col)
+    return alg.winding(lambda _: closed, n, max_samples=n)
 
 
 def rotation_distance(rep, deg, n):

@@ -6,7 +6,7 @@ over the orbit with the disk points transported by the endpoint cocycles.
 The real part is the rotation variation (revolutions), the imaginary part
 carries the Lyapunov difference of the endpoints.
 
-Sign convention (fixed once, stated in every CLI report): projective angles
+Sign convention (fixed once for the whole library): projective angles
 increase under R_theta with increasing theta.  Paper statements phrased for
 monotone-decreasing families hold mirrored.
 """
@@ -20,7 +20,6 @@ from .cocycle import Family, _as_points
 from .errors import UnwrapStep
 
 MAX_PATH_STEPS = 2**20
-_BLOCK = 256
 
 
 @dataclass
@@ -137,22 +136,18 @@ def variation_rho(
 
 
 def _variation_pass(family, theta_a, theta_b, theta_imag, xs, z0s, z1s, steps):
-    ts = np.linspace(0.0, 1.0, steps + 1)
     lift = np.zeros(xs.shape[0])
-    dlog = np.zeros(xs.shape[0])
     prev = None
-    for j0 in range(0, steps + 1, _BLOCK):
-        block = ts[j0 : j0 + _BLOCK]
-        for t in block:
-            theta = theta_a + t * (theta_b - theta_a) + 1j * theta_imag
-            mats = alg.disk_coords(family.eval_theta(theta, xs))
-            zs = z0s + t * (z1s - z0s)
-            phis = alg.tau(mats, zs)
-            if prev is None:
-                first_abs = np.log(np.abs(phis))
-            else:
-                lift += _phase_steps(prev, phis)
-            prev = phis
+    for t in np.linspace(0.0, 1.0, steps + 1):
+        theta = theta_a + t * (theta_b - theta_a) + 1j * theta_imag
+        mats = alg.disk_coords(family.eval_theta(theta, xs))
+        zs = z0s + t * (z1s - z0s)
+        phis = alg.tau(mats, zs)
+        if prev is None:
+            first_abs = np.log(np.abs(phis))
+        else:
+            lift += _phase_steps(prev, phis)
+        prev = phis
     dlog = np.log(np.abs(prev)) - first_abs
     total = np.sum(lift) - 1j * np.sum(dlog) / (2.0 * np.pi)
     return complex(total)

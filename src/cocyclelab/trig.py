@@ -86,11 +86,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def drop_mean(self):
-        out = dict(self.coeffs)
-        out.pop((0,) * self.dim, None)
-        return TrigPoly(self.dim, out, real=self.real)
-
     def mean(self):
         c0 = self.coeffs.get((0,) * self.dim, 0.0)
         return c0.real if self.real else c0
@@ -169,15 +164,6 @@ class TrigPoly:
         return float(
             sum(
                 abs(c) * (2.0 * np.pi * abs(float(np.dot(k, u)))) ** order
-                for k, c in self.coeffs.items()
-            )
-        )
-
-    def strip_bound(self, im_width):
-        """sum |c_k| e^{2 pi |k|_1 t}: sup on the complex strip |Im x| <= t."""
-        return float(
-            sum(
-                abs(c) * np.exp(2 * np.pi * sum(abs(v) for v in k) * im_width)
                 for k, c in self.coeffs.items()
             )
         )

@@ -4,7 +4,7 @@ import pytest
 from cocyclelab import algebra as alg
 from cocyclelab import cocycle as cc
 from cocyclelab import complexify as cx
-from cocyclelab.errors import NoContraction, SmallDivisor, Undersampled
+from cocyclelab.errors import NoContraction, Undersampled
 from cocyclelab.trig import TrigPoly
 
 GOLD = cc.GOLDEN_MEAN
