@@ -42,6 +42,18 @@ def mat2(a, b, c, d):
     )
 
 
+def mul(A, B):
+    """Batched 2x2 product A @ B from explicit entries (broadcasts)."""
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    e, f, g, h = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B))
+    out[..., 0, 0] = a * e + b * g
+    out[..., 0, 1] = a * f + b * h
+    out[..., 1, 0] = c * e + d * g
+    out[..., 1, 1] = c * f + d * h
+    return out
+
+
 def rot(theta):
     """Rotation by 2*pi*theta; theta may be complex (analytic continuation)."""
     th = 2.0 * np.pi * np.asarray(theta)

@@ -462,12 +462,17 @@ class ScaledMat:
         """log of the spectral norm of the represented product."""
         return self.log_scale + np.log(alg.spectral_norm(self.m))
 
+    def __getitem__(self, k):
+        """The product(s) at index k of the leading (stacking) axis."""
+        return ScaledMat(self.m[k], self.log_scale[k])
+
     def matmul(self, other):
         """self @ other with rescaling; overflow-free composition."""
-        m = self.m @ other.m
+        m = alg.mul(self.m, other.m)
         ls = np.asarray(self.log_scale + other.log_scale, dtype=float)
-        peak = np.max(np.abs(m), axis=(-2, -1))
-        m = m / peak[..., None, None]
+        # a max over the four entry arrays; reducing the (2, 2) axes is slower
+        peak = np.max([np.abs(m[..., i, j]) for i in (0, 1) for j in (0, 1)], axis=0)
+        m = m * (1.0 / peak)[..., None, None]
         return ScaledMat(m, ls + np.log(peak))
 
     def inverse(self):
@@ -475,6 +480,36 @@ class ScaledMat:
         m = self.m
         adj = alg.mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
         return ScaledMat(adj, np.asarray(self.log_scale, dtype=float))
+
+
+_CHUNK = 4096  # matrices per scanned chunk, whatever the batch shape
+
+
+def orbit_products(steps):
+    """Prefix products P[k] = A[k] ... A[0] of a stream of step matrices.
+
+    `steps` yields arrays (c, ..., 2, 2) of consecutive steps A[k] over a
+    fixed batch shape.  Yields (A, P) chunks of at most _CHUNK matrices (at
+    least one step), P a ScaledMat of shape (c', ...).  Within a chunk the
+    scan doubles (Hillis-Steele, ceil(log2 c') rescaled products), so
+    rounding grows with log n and no determinant repair is needed; the last
+    product is carried into the next chunk.
+    """
+    carry = None
+    for block in steps:
+        width = max(1, _CHUNK // max(int(np.prod(block.shape[1:-2])), 1))
+        for s in range(0, len(block), width):
+            a = block[s : s + width]
+            p = ScaledMat(a.copy(), np.zeros(a.shape[:-2]))
+            shift = 1
+            while shift < len(a):
+                tail = p[shift:].matmul(p[:-shift])
+                p.m[shift:], p.log_scale[shift:] = tail.m, tail.log_scale
+                shift *= 2
+            if carry is not None:
+                p = p.matmul(carry)
+            carry = p[-1]
+            yield a, p
 
 
 class Cocycle:
@@ -493,36 +528,30 @@ class Cocycle:
     def __call__(self, x):
         return self.expr.eval(x)
 
+    def orbit(self, x, n):
+        """Steps A(x + k alpha), k < n, in chunks of shape (c, ..., 2, 2)."""
+        x = _as_points(x, self.dim)
+        width = max(1, _CHUNK // max(x[..., 0].size, 1))
+        for s in range(0, n, width):
+            k = np.arange(s, min(s + width, n)).reshape((-1,) + (1,) * x.ndim)
+            pts = x + k * self.alpha
+            mats = self.eval(pts.reshape(-1, self.dim))
+            yield mats.reshape(pts.shape[:-1] + (2, 2))
+
     def iterate(self, x, n):
         """Ordered product A_n(x) as a ScaledMat; A_0 = Id, A_{-n} inverse."""
         x = _as_points(x, self.dim)
-        base_shape = x.shape[:-1]
-        m = np.broadcast_to(np.eye(2, dtype=complex), base_shape + (2, 2)).copy()
-        ls = np.zeros(base_shape)
         n = int(n)
         if n == 0:
-            return ScaledMat(m, ls)
+            m = np.broadcast_to(np.eye(2, dtype=complex), x.shape[:-1] + (2, 2))
+            return ScaledMat(m.copy(), np.zeros(x.shape[:-1]))
         if n < 0:
             # A_{-n}(x) = A_n(f^{-n} x)^{-1}; the true product is unimodular
             # so the inverse is the adjugate at the same log-scale.
             return self.iterate(x - (-n) * self.alpha, -n).inverse()
-        for k in range(n):
-            m = self.expr.eval(x + k * self.alpha) @ m
-            peak = np.max(np.abs(m), axis=(-2, -1))
-            need = (peak > 2.0) | (peak < 0.5)
-            if np.any(need):
-                scale = np.where(need, peak, 1.0)
-                m = m / scale[..., None, None]
-                ls = ls + np.log(scale)
-            if (k + 1) % 64 == 0:
-                # determinant drift repair: true det is det(m) e^{2 ls}; when
-                # representable, rotate/scale m so that it is exactly 1
-                det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-                ok = np.abs(det) > 1e-200
-                if np.all(ok):
-                    corr = np.exp(-(np.log(det) + 2.0 * ls) / 2.0)
-                    m = m * corr[..., None, None]
-        return ScaledMat(m, ls)
+        for _, p in orbit_products(self.orbit(x, n)):
+            pass
+        return p[-1]
 
     def iterate_cocycle(self, n):
         """The cocycle (n*alpha, A_n) as an expression tree."""

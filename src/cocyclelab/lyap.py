@@ -1,8 +1,10 @@
 """Lyapunov exponent estimators and the rotation-twist average identity.
 
-The orbit estimator is the standard two-vector Benettin scheme: a tracked
-unit vector (renormalized every step, log-growth accumulated) plus an
-orthogonalized second vector that also exposes the contracting exponent.
+The orbit estimator reads the growth of the first column of the orbit's
+prefix products (`cocycle.orbit_products`): ln|A_k(x) e_1| / k at k = n and,
+for the halving error proxy, at k = n // 2.  The contracting exponent
+follows exactly from the determinant, since the two exponents of a 2x2
+cocycle sum to the mean of ln|det A|.
 Quadrature follows unique ergodicity: uniform grids for d = 1, a single
 ergodic orbit as quasi-Monte Carlo nodes for d >= 2.
 """
@@ -12,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .cocycle import Cocycle, _as_points
-
-_CHUNK = 8192
+from .cocycle import _CHUNK, _as_points, orbit_products
 
 
 @dataclass
@@ -24,71 +24,38 @@ class LyapEstimate:
     value: float
     n: int
     error_proxy: float
-    second: float = 0.0  # contracting-exponent estimate from vector two
+    second: float = 0.0  # contracting exponent: mean ln|det A| - value
 
 
-def _orbit_accumulate(step_iter, n):
-    """Run the two-vector scheme over per-step (T,2,2) matrix batches."""
-    first = next(step_iter)
-    t = first.shape[0]
-    v1 = np.tile(np.array([1.0, 0.0], dtype=complex), (t, 1))
-    v2 = np.tile(np.array([0.0, 1.0], dtype=complex), (t, 1))
-    s1 = np.zeros(t)
-    s2 = np.zeros(t)
-    s1_half = None
-    k = 0
-    batch = first
-    while True:
-        w1 = np.einsum("tij,tj->ti", batch, v1)
-        w2 = np.einsum("tij,tj->ti", batch, v2)
-        g1 = np.sqrt(np.sum(np.abs(w1) ** 2, axis=1))
-        v1 = w1 / g1[:, None]
-        # Gram-Schmidt; restart the second vector on angle collapse
-        proj = np.sum(np.conj(v1) * w2, axis=1)
-        w2 = w2 - proj[:, None] * v1
-        g2 = np.sqrt(np.sum(np.abs(w2) ** 2, axis=1))
-        collapsed = g2 < 1e-8 * np.abs(proj)
-        if np.any(collapsed):
-            w2 = np.where(
-                collapsed[:, None], np.stack([-v1[:, 1], v1[:, 0]], axis=1), w2
-            )
-            g2 = np.where(collapsed, 1.0, g2)
-        v2 = w2 / g2[:, None]
-        s1 += np.log(g1)
-        s2 += np.log(g2)
-        k += 1
-        if s1_half is None and k >= n // 2:
-            s1_half = s1.copy()
-        if k >= n:
-            break
-        batch = next(step_iter)
-    value = s1 / n
-    half = s1_half / (n // 2)
-    return value, np.abs(value - half), s2 / n
+def _log_first_column(p):
+    """ln|P e_1| of a ScaledMat (stack)."""
+    col = np.abs(p.m[..., 0, 0]) ** 2 + np.abs(p.m[..., 1, 0]) ** 2
+    return p.log_scale + 0.5 * np.log(col)
 
 
-def _cocycle_steps(cocycle, x0, n):
-    x0 = _as_points(x0, cocycle.dim)
-    if x0.ndim == 1:
-        x0 = x0[None, :]
-    ks = 0
-    while ks < n:
-        kk = np.arange(ks, min(ks + _CHUNK, n))
-        pts = x0[:, None, :] + kk[None, :, None] * cocycle.alpha
-        t, c = pts.shape[0], pts.shape[1]
-        mats = cocycle.eval(pts.reshape(t * c, -1)).reshape(t, c, 2, 2)
-        for j in range(c):
-            yield mats[:, j]
-        ks += c
+def _orbit_growth(steps, n):
+    """Per-batch (value, halving proxy, second) of an n-step orbit walk."""
+    if n < 1:
+        raise ValueError("orbit length n must be >= 1")
+    half = max(n // 2, 1)
+    done = 0
+    log_det = 0.0
+    for a, p in orbit_products(steps):
+        if done < half <= done + len(a):
+            g_half = _log_first_column(p[half - done - 1])
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        log_det = log_det + np.sum(np.log(np.abs(det)), axis=0)
+        done += len(a)
+    value = _log_first_column(p[-1]) / n
+    return value, np.abs(value - g_half / half), log_det / n - value
 
 
 def lyapunov_orbit(cocycle, x0=None, n=100000):
     """Single-orbit Birkhoff estimate of the top exponent at base point x0."""
     if x0 is None:
         x0 = np.full(cocycle.dim, np.sqrt(0.5) / 3)
-    value, proxy, second = _orbit_accumulate(
-        _cocycle_steps(cocycle, x0, n), n
-    )
+    x0 = _as_points(x0, cocycle.dim).reshape(-1, cocycle.dim)
+    value, proxy, second = _orbit_growth(cocycle.orbit(x0, n), n)
     return LyapEstimate(
         value=float(value[0]),
         n=int(n),
@@ -108,25 +75,22 @@ def quadrature_points(dim, size, alpha=None, x0=None):
     return np.mod(x0[None, :] + k * np.asarray(alpha)[None, :], 1.0)
 
 
+def _nodes(cocycle, grid):
+    """`grid` itself if it is an array, else that many quadrature points."""
+    if isinstance(grid, np.ndarray):
+        return grid
+    return quadrature_points(cocycle.dim, grid, cocycle.alpha)
+
+
 def lyapunov_upper(cocycle, n, grid=256):
     """(1/n) mean of ln ||A_n(x)||: an upper bound up to quadrature error."""
-    pts = (
-        grid
-        if isinstance(grid, np.ndarray)
-        else quadrature_points(cocycle.dim, grid, cocycle.alpha)
-    )
-    sm = cocycle.iterate(pts, n)
+    sm = cocycle.iterate(_nodes(cocycle, grid), n)
     return float(np.mean(sm.log_norm()) / n)
 
 
 def herman_average_rhs(cocycle, grid=4096):
     """Grid mean of ln((||A|| + ||A||^-1)/2), spectral norm."""
-    pts = (
-        grid
-        if isinstance(grid, np.ndarray)
-        else quadrature_points(cocycle.dim, grid, cocycle.alpha)
-    )
-    s = alg.spectral_norm(cocycle.eval(pts))
+    s = alg.spectral_norm(cocycle.eval(_nodes(cocycle, grid)))
     return float(np.mean(np.log((s + 1.0 / s) / 2.0)))
 
 
@@ -140,10 +104,11 @@ def lyapunov_theta_average(cocycle, theta_points=64, n=100000, x0=None):
     rots = alg.rot(thetas).astype(complex)
     if x0 is None:
         x0 = np.full(cocycle.dim, np.sqrt(0.5) / 3)
-
-    def steps():
-        for base in _cocycle_steps(cocycle, x0, n):
-            yield rots @ base[0]
-
-    value, proxy, _ = _orbit_accumulate(steps(), n)
+    width = max(1, _CHUNK // len(rots))  # steps x thetas within one chunk
+    steps = (
+        alg.mul(rots, a[s : s + width, None])
+        for a in cocycle.orbit(x0, n)
+        for s in range(0, len(a), width)
+    )
+    value, proxy, _ = _orbit_growth(steps, n)
     return float(np.mean(value)), float(np.mean(proxy))

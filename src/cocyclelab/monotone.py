@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import PHASE_SHIFT, ROT_TWIST, SCHRODINGER_E, Family, _as_points
+from .cocycle import PHASE_SHIFT, ROT_TWIST, SCHRODINGER_E, Family
 from .errors import NotMonotonic, Uncertified
 
 

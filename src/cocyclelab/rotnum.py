@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .cocycle import Family, _as_points
+from .cocycle import _as_points, orbit_products
 from .errors import UnwrapStep
 
 MAX_PATH_STEPS = 2**20
@@ -73,15 +73,8 @@ def delta_xi(gamma, z0, z1, steps=64, max_steps=MAX_PATH_STEPS):
 
 def _transport_orbit(mats, z_init):
     """Moebius orbit z_{k+1} = mats[k] . z_k for disk-coordinate matrices."""
-    n = mats.shape[0]
-    out = np.empty(n, dtype=complex)
-    z = complex(z_init)
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    for k in range(n):
-        out[k] = z
-        z = (a[k] * z + b[k]) / (c[k] * z + d[k])
-    return out
+    prefix = [alg.mobius_apply(p.m, z_init) for _, p in orbit_products([mats[:-1]])]
+    return np.concatenate([[complex(z_init)]] + prefix)
 
 
 def variation_rho(
@@ -183,35 +176,34 @@ def affine_fit(theta, rho):
 def fibered_rotation_number(cocycle, x0=None, n=100000, v0=(1.0, 0.0)):
     """Average projective angular speed of one orbit (revolutions/iterate).
 
-    Tracks the vector angle of the normalized orbit of v0 with nearest-image
-    unwrapping; returns (value mod 1, raw lift slope).  Convenience for
-    single cocycles; the paper-level object is the path variation above.
+    Sums the nearest-image angle increments arg(z_k conj(z_{k-1})) of the
+    prefix images z_k = A_k(x0) v0 (as complex numbers), so each step adds
+    less than half a turn; returns (value mod 1, raw lift slope).  Real
+    cocycles only: complex matrices or a complex v0 raise ValueError.
+    Convenience for single cocycles; the paper-level object is the path
+    variation above.
     """
     if x0 is None:
         x0 = np.full(cocycle.dim, np.sqrt(0.5) / 3)
-    x0 = _as_points(x0, cocycle.dim)
-    v = np.asarray(v0, dtype=complex)
-    v = v / np.sqrt(np.sum(np.abs(v) ** 2))
+    x0 = _as_points(x0, cocycle.dim).reshape(cocycle.dim)
+    v = np.asarray(v0)
+    if np.any(np.imag(v) != 0):
+        raise ValueError("fibered_rotation_number needs a real v0")
+    vx, vy = v.real
+
+    def real_steps():
+        for a in cocycle.orbit(x0, n):
+            if np.any(a.imag != 0):
+                raise ValueError("fibered_rotation_number needs a real cocycle")
+            yield a.real
+
+    prev = complex(vx, vy)
     lift = 0.0
-    chunk = 8192
-    done = 0
-    while done < n:
-        kk = np.arange(done, min(done + chunk, n))
-        mats = cocycle.eval(x0[None, :] + kk[:, None] * cocycle.alpha)
-        a, b = mats[..., 0, 0].real, mats[..., 0, 1].real
-        c, d = mats[..., 1, 0].real, mats[..., 1, 1].real
-        vx, vy = v[0].real, v[1].real
-        for k in range(len(kk)):
-            wx = a[k] * vx + b[k] * vy
-            wy = c[k] * vx + d[k] * vy
-            # nearest-image increment of the vector angle, in revolutions
-            dang = np.arctan2(wy * vx - wx * vy, wx * vx + wy * vy) / (
-                2 * np.pi
-            )
-            lift += dang
-            norm = np.hypot(wx, wy)
-            vx, vy = wx / norm, wy / norm
-        v = np.array([vx, vy], dtype=complex)
-        done += len(kk)
-    slope = lift / n
+    for _, p in orbit_products(real_steps()):
+        m = p.m
+        z = (m[:, 0, 0] + 1j * m[:, 1, 0]) * vx + (m[:, 0, 1] + 1j * m[:, 1, 1]) * vy
+        z = z / np.abs(z)
+        lift += np.sum(np.angle(z * np.conj(np.append(prev, z[:-1]))))
+        prev = z[-1]
+    slope = lift / (2 * np.pi) / n
     return float(np.mod(slope, 1.0)), float(slope)

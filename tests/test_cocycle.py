@@ -1,7 +1,10 @@
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cocyclelab import algebra as alg
 from cocyclelab import cocycle as cc
@@ -140,6 +143,53 @@ def test_iterate_inverse_identity_hyperbolic_shallow():
     for n in [1, 5, 20]:
         prod = c.iterate(x, -n).matmul(c.iterate(x - n * c.alpha, n))
         assert np.max(np.abs(prod.value() - np.eye(2))) < 1e-8
+
+
+def _mp_herman_log_norm(x, n, lam, alpha):
+    """ln ||A_n(x)|| of Herman's diag(lam, 1/lam) R_x at 80 digits."""
+    with mp.workdps(80):
+        d = mp.matrix([[lam, 0], [0, 1 / mp.mpf(lam)]])
+        p = mp.eye(2)
+        for k in range(n):
+            t = 2 * mp.pi * (mp.mpf(x) + k * mp.mpf(alpha))
+            p = d * mp.matrix([[mp.cos(t), -mp.sin(t)], [mp.sin(t), mp.cos(t)]]) * p
+        frob = sum(p[i, j] ** 2 for i in range(2) for j in range(2))
+        det = abs(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+        return float(mp.log((mp.sqrt(frob + 2 * det) + mp.sqrt(frob - 2 * det)) / 2))
+
+
+def test_iterate_hyperbolic_matches_mpmath():
+    # past n = 64 the contracting singular value is below rounding of det(m);
+    # a determinant "repair" built from det(m) then corrupts the product
+    c = cc.Cocycle([GOLD], cc.herman(2.0, (1,)))
+    xs = np.arange(4) / 4.0
+    for n in (64, 128):
+        got = c.iterate(xs, n).log_norm()
+        want = [_mp_herman_log_norm(x, n, 2.0, GOLD) for x in xs]
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+@seed(2718)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 100))
+def test_cocycle_identity_property(s, n, m):
+    # 64 points give chunks of _CHUNK // 64 = 64 steps, so n and n + m cross
+    # chunk boundaries of the orbit walk.  alpha and x are multiples of 2^-20,
+    # so x + k alpha is exact and A_m(x + n alpha) sees the same points as
+    # A_{n+m}(x): a hyperbolic product would amplify point rounding.
+    rng = np.random.default_rng(s)
+    c = cc.Cocycle([np.round(GOLD * 2**20) / 2**20], random_expr(rng))
+    x = rng.integers(0, 2**20, (64, 1)) / 2**20
+    lhs = c.iterate(x, n + m)
+    a_m, a_n = c.iterate(x + n * c.alpha, m), c.iterate(x, n)
+    rhs = a_m.matmul(a_n)
+    # rounding is relative to ||A_m|| ||A_n||, the natural scale of the product
+    ref = a_m.log_norm() + a_n.log_norm()
+    diff = (
+        np.exp(lhs.log_scale - ref)[:, None, None] * lhs.m
+        - np.exp(rhs.log_scale - ref)[:, None, None] * rhs.m
+    )
+    assert np.max(np.abs(diff)) < 1e-10
 
 
 def test_homotopy_class_examples():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,58 @@ def test_nonnegativity_estimates():
         c = cc.Cocycle([rng.uniform(0.2, 0.8)], cc.Rot((1,), phi))
         est = lyap.lyapunov_orbit(c, n=5000)
         assert est.value >= -est.error_proxy - 1e-12
+
+
+def test_lyapunov_orbit_rejects_empty_orbit():
+    c = cc.Cocycle([GOLD], cc.herman(2.0, (1,)))
+    with pytest.raises(ValueError):
+        lyap.lyapunov_orbit(c, n=0)
+
+
+def _benettin_reference(mats):
+    """Two-vector Benettin loop, one step at a time in plain Python.
+
+    Returns (value, halving proxy, second) like `lyapunov_orbit`: a unit
+    vector renormalized every step, plus a Gram-Schmidt second vector that
+    restarts on angle collapse.
+    """
+    n = len(mats)
+    (x1, y1), (x2, y2) = (1 + 0j, 0j), (0j, 1 + 0j)
+    s1 = s2 = 0.0
+    for k, ((a, b), (c, d)) in enumerate(mats.tolist()):
+        x1, y1 = a * x1 + b * y1, c * x1 + d * y1
+        x2, y2 = a * x2 + b * y2, c * x2 + d * y2
+        g1 = math.sqrt(abs(x1) ** 2 + abs(y1) ** 2)
+        x1, y1 = x1 / g1, y1 / g1
+        proj = x1.conjugate() * x2 + y1.conjugate() * y2
+        x2, y2 = x2 - proj * x1, y2 - proj * y1
+        g2 = math.sqrt(abs(x2) ** 2 + abs(y2) ** 2)
+        if g2 < 1e-8 * abs(proj):
+            x2, y2, g2 = -y1, x1, 1.0
+        x2, y2 = x2 / g2, y2 / g2
+        s1 += math.log(g1)
+        s2 += math.log(g2)
+        if k + 1 == n // 2:
+            s1_half = s1
+    return s1 / n, abs(s1 / n - s1_half / (n // 2)), s2 / n
+
+
+@pytest.mark.parametrize(
+    "cocycle",
+    [
+        cc.Cocycle([GOLD], cc.herman(2.0, (1,))),
+        cc.Family.rot_twist(cc.Cocycle([GOLD], cc.herman(1.5, (1,)))).theta_cocycle(
+            0.2 + 0.05j
+        ),
+    ],
+    ids=["herman", "complexified"],
+)
+def test_lyapunov_orbit_matches_benettin_reference(cocycle):
+    n = 3 * cc._CHUNK + 17  # three full chunks of the walk and a partial one
+    x0 = np.array([0.29])
+    mats = cocycle.eval(x0 + np.arange(n)[:, None] * cocycle.alpha)
+    value, proxy, second = _benettin_reference(mats)
+    est = lyap.lyapunov_orbit(cocycle, x0=x0, n=n)
+    assert est.value == pytest.approx(value, abs=1e-12)
+    assert est.error_proxy == pytest.approx(proxy, abs=1e-12)
+    assert est.second == pytest.approx(second, abs=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,70 @@ def test_im_re_consistency_complexified():
     l0 = lyap.lyapunov_orbit(c0, n=40000).value
     l1 = lyap.lyapunov_orbit(c1, n=40000).value
     assert abs((l0 - l1) - 2 * np.pi * var.deltaL) < 2e-2
+
+
+def _angle_reference(mats, v0=(1.0, 0.0)):
+    """Lift slope of the normalized orbit of v0, one step at a time."""
+    vx, vy = v0
+    lift = 0.0
+    for (a, b), (c, d) in mats.real.tolist():
+        wx, wy = a * vx + b * vy, c * vx + d * vy
+        lift += math.atan2(wy * vx - wx * vy, wx * vx + wy * vy) / (2 * math.pi)
+        norm = math.hypot(wx, wy)
+        vx, vy = wx / norm, wy / norm
+    return lift / len(mats)
+
+
+def _moebius_reference(mats, z):
+    """Moebius orbit z_{k+1} = mats[k] . z_k, one step at a time."""
+    out = []
+    for (a, b), (c, d) in mats.tolist():
+        out.append(z)
+        z = (a * z + b) / (c * z + d)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        cc.conjugate_expr(
+            cc.Rot((0,), TrigPoly.constant(0.3)),
+            cc.ShearU(TrigPoly.cosine((1,), 0.5)),
+            np.array([GOLD]),
+        ),
+        cc.Product([cc.herman(1.2, (1,)), cc.ShearL(TrigPoly.sine((1,), 0.6))]),
+    ],
+    ids=["conjugated-rotation", "herman-shear"],
+)
+def test_fibered_rotation_matches_angle_reference(expr):
+    c = cc.Cocycle([GOLD], expr)
+    n = 3 * cc._CHUNK + 17  # three full chunks of the walk and a partial one
+    x0 = np.array([0.29])
+    mats = c.eval(x0 + np.arange(n)[:, None] * c.alpha)
+    want = _angle_reference(mats)
+    val, slope = rotnum.fibered_rotation_number(c, x0=x0, n=n)
+    assert slope == pytest.approx(want, abs=1e-12)
+    assert val == pytest.approx(want % 1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta_imag, z0", [(0.0, 1.0 + 0.0j), (0.05, 0.0j)])
+def test_transport_orbit_matches_moebius_reference(theta_imag, z0):
+    fam = cc.Family.rot_twist(cc.Cocycle([GOLD], cc.herman(1.5, (1,))))
+    n = 3 * cc._CHUNK + 17
+    xs = 0.29 + np.arange(n)[:, None] * fam.alpha
+    mats = alg.disk_coords(fam.eval_theta(0.2 + 1j * theta_imag, xs))
+    got = rotnum._transport_orbit(mats, z0)
+    # on the circle the orbit crosses expanding stretches that amplify
+    # rounding in both walks: against an mpmath orbit the step loop is off by
+    # up to 1.6e-12 there and the prefix products by 7.5e-12
+    assert np.max(np.abs(got - _moebius_reference(mats, z0))) < 1e-10
+
+
+def test_fibered_rotation_rejects_complex_input():
+    fam = cc.Family.rot_twist(cc.Cocycle([GOLD], cc.herman(1.5, (1,))))
+    with pytest.raises(ValueError):
+        rotnum.fibered_rotation_number(fam.theta_cocycle(0.2 + 0.05j), n=100)
+    with pytest.raises(ValueError):
+        rotnum.fibered_rotation_number(
+            fam.theta_cocycle(0.2), n=100, v0=(1.0, 1j)
+        )
