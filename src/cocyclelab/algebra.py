@@ -1,5 +1,11 @@
 """Exact 2x2 matrix algebra, Moebius actions, disk coordinates and tau-lifts.
 
+This module is the 2x2 kernel layer of the library: `mat2` builds a stack,
+`mul` multiplies, `det`, `adj` and `inv` invert, `disk_coords` conjugates
+into SU(1,1) and `mobius_apply` acts on the disk.  Other modules call these
+and do not hand-roll entrywise products, adjugates, inverses or Moebius
+maps of their own.
+
 Conventions used throughout the library:
   * rotations: rot(theta) is the rotation by 2*pi*theta radians,
   * angles and phase lifts are stored in revolutions (arg/2pi),
@@ -34,12 +40,14 @@ _BOUNDARY_EPS = 1e-12
 
 def mat2(a, b, c, d):
     """Stack four broadcastable entries into (..., 2, 2)."""
-    a, b, c, d = np.broadcast_arrays(
-        np.asarray(a), np.asarray(b), np.asarray(c), np.asarray(d)
-    )
-    return np.stack(
-        [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
-    )
+    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape, d.shape)
+    out = np.empty(shape + (2, 2), np.result_type(a, b, c, d))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
 
 
 def mul(A, B):
@@ -54,15 +62,37 @@ def mul(A, B):
     return out
 
 
+def det(M):
+    """Determinants of (..., 2, 2) matrices."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def adj(M):
+    """Adjugate of (..., 2, 2) matrices: the inverse wherever det = 1."""
+    return mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0])
+
+
+def inv(M):
+    """Inverse of invertible (..., 2, 2) matrices: adjugate over det."""
+    M = np.asarray(M)
+    return adj(M) / det(M)[..., None, None]
+
+
 def rot(theta):
     """Rotation by 2*pi*theta; theta may be complex (analytic continuation)."""
     th = 2.0 * np.pi * np.asarray(theta)
-    return mat2(np.cos(th), -np.sin(th), np.sin(th), np.cos(th))
+    c, s = np.cos(th), np.sin(th)
+    return mat2(c, -s, s, c)
 
 
 def disk_coords(A):
-    """Conjugate A by Q: real unimodular input lands in SU(1,1)."""
-    return Q @ np.asarray(A) @ QINV
+    """Q A Q^-1, linear in the entries of A; real unimodular input lands in
+    SU(1,1)."""
+    A = np.asarray(A)
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    s, t = (a + d) / 2.0, 0.5j * (b - c)
+    u, w = (a - d) / 2.0, 0.5j * (b + c)
+    return mat2(s + t, u - w, u + w, s - t)
 
 
 def from_disk_coords(M):
@@ -113,8 +143,7 @@ def mobius_image_disk(M):
     if np.any(np.abs(d) <= np.abs(c) + 1e-12):
         raise PoleOnCircle("unit circle meets the Moebius pole (|d| <= |c|)")
     center = (b * np.conj(d) - a * np.conj(c)) / denom
-    det = a * d - b * c
-    radius = np.abs(det) / denom
+    radius = np.abs(det(M)) / denom
     if M.ndim == 2:
         return EuclideanDisk(complex(center), float(radius))
     return center, radius
@@ -254,8 +283,8 @@ def singular_values(M):
         q = np.sqrt((a - d) ** 2 + (b + c) ** 2)
         return (p + q) / 2.0, np.abs(p - q) / 2.0
     f2 = np.sum(np.abs(M) ** 2, axis=(-2, -1))
-    det = np.abs(M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0])
-    gap = np.sqrt(np.maximum(f2 * f2 - 4.0 * det * det, 0.0))
+    dm = np.abs(det(M))
+    gap = np.sqrt(np.maximum(f2 * f2 - 4.0 * dm * dm, 0.0))
     smax = np.sqrt((f2 + gap) / 2.0)
     smin = np.sqrt(np.maximum((f2 - gap) / 2.0, 0.0))
     return smax, smin
@@ -272,7 +301,7 @@ def random_sl2r(rng, scale=1.0, size=None):
     t1 = rng.uniform(0.0, 1.0, shape)
     t2 = rng.uniform(0.0, 1.0, shape)
     s = rng.uniform(-scale, scale, shape)
-    d = mat2(np.exp(s), np.zeros_like(s), np.zeros_like(s), np.exp(-s))
+    d = mat2(np.exp(s), 0.0, 0.0, np.exp(-s))
     return rot(t1) @ d @ rot(t2)
 
 

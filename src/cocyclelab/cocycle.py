@@ -14,7 +14,6 @@ import numpy as np
 from . import algebra as alg
 from .trig import TrigPoly
 
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 _S = np.array([[1.0, 0.0], [0.0, -1.0]])
 _EU = np.array([[0.0, 1.0], [0.0, 0.0]])
 _EL = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -37,11 +36,14 @@ def _as_points(x, dim):
 def _leibniz(ja, jb):
     """Jet of a matrix product from jets of the factors."""
     order = len(ja) - 1
-    out = [ja[0] @ jb[0]]
+    mul = alg.mul
+    out = [mul(ja[0], jb[0])]
     if order >= 1:
-        out.append(ja[1] @ jb[0] + ja[0] @ jb[1])
+        out.append(mul(ja[1], jb[0]) + mul(ja[0], jb[1]))
     if order >= 2:
-        out.append(ja[2] @ jb[0] + 2.0 * (ja[1] @ jb[1]) + ja[0] @ jb[2])
+        out.append(
+            mul(ja[2], jb[0]) + 2.0 * mul(ja[1], jb[1]) + mul(ja[0], jb[2])
+        )
     return out
 
 
@@ -87,10 +89,11 @@ class Rot(Node):
         u = np.atleast_1d(np.asarray(direction, dtype=float))
         a = self.eval(x)
         psi1 = float(np.dot(self.l, u)) + self.phi.deriv(u).eval(x)
-        out = [a, (2 * np.pi * psi1)[..., None, None] * (_J @ a)]
+        ja = alg.mul(alg.J, a)
+        out = [a, (2 * np.pi * psi1)[..., None, None] * ja]
         if order >= 2:
             psi2 = self.phi.deriv(u).deriv(u).eval(x)
-            d2 = (2 * np.pi * psi2)[..., None, None] * (_J @ a) - (
+            d2 = (2 * np.pi * psi2)[..., None, None] * ja - (
                 (2 * np.pi * psi1) ** 2
             )[..., None, None] * a
             out.append(d2)
@@ -117,18 +120,18 @@ class DiagExp(Node):
 
     def eval(self, x):
         v = self.p.eval(_as_points(x, self.dim)).astype(complex)
-        z = np.zeros_like(v)
-        return alg.mat2(np.exp(v), z, z, np.exp(-v))
+        return alg.mat2(np.exp(v), 0.0, 0.0, np.exp(-v))
 
     def jet(self, x, direction, order=1):
         x = _as_points(x, self.dim)
         u = np.atleast_1d(np.asarray(direction, dtype=float))
         a = self.eval(x)
         p1 = self.p.deriv(u).eval(x)[..., None, None]
-        out = [a, p1 * (_S @ a)]
+        sa = alg.mul(_S, a)
+        out = [a, p1 * sa]
         if order >= 2:
             p2 = self.p.deriv(u).deriv(u).eval(x)[..., None, None]
-            out.append(p2 * (_S @ a) + p1 * p1 * a)
+            out.append(p2 * sa + p1 * p1 * a)
         return out
 
     def bounds(self, direction):
@@ -152,11 +155,9 @@ class _Shear(Node):
 
     def eval(self, x):
         v = self.q.eval(_as_points(x, self.dim)).astype(complex)
-        one = np.ones_like(v)
-        zero = np.zeros_like(v)
         if self._kind == "shear_u":
-            return alg.mat2(one, v, zero, one)
-        return alg.mat2(one, zero, v, one)
+            return alg.mat2(1.0, v, 0.0, 1.0)
+        return alg.mat2(1.0, 0.0, v, 1.0)
 
     def jet(self, x, direction, order=1):
         x = _as_points(x, self.dim)
@@ -259,7 +260,7 @@ class ExpSl2(Node):
     def eval(self, x):
         x = _as_points(x, self.dim)
         B = self._smat(x)
-        w = -(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
+        w = -alg.det(B)
         f, g, _, _ = _cosh_family(w)
         eye = np.eye(2, dtype=complex)
         return f[..., None, None] * eye + g[..., None, None] * B
@@ -269,7 +270,7 @@ class ExpSl2(Node):
         u = np.atleast_1d(np.asarray(direction, dtype=float))
         B = self._smat(x)
         B1 = self._smat(x, u, 1)
-        w = -(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
+        w = -alg.det(B)
         f, g, g1, g2 = _cosh_family(w)
         tr = lambda M, N: (
             M[..., 0, 0] * N[..., 0, 0]
@@ -332,7 +333,7 @@ class Product(Node):
     def eval(self, x):
         out = self.children[0].eval(x)
         for c in self.children[1:]:
-            out = out @ c.eval(x)
+            out = alg.mul(out, c.eval(x))
         return out
 
     def jet(self, x, direction, order=1):
@@ -395,10 +396,7 @@ def invert_node(node):
     if isinstance(node, ShearL):
         return ShearL(node.q * -1.0)
     if isinstance(node, Const):
-        m = node.m
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-        return Const(inv, dim=node.dim)
+        return Const(alg.inv(node.m), dim=node.dim)
     if isinstance(node, ExpSl2):
         return ExpSl2(node.s1, node.s2, node.s3, t=-node.t)
     if isinstance(node, Product):
@@ -477,9 +475,8 @@ class ScaledMat:
 
     def inverse(self):
         """Inverse assuming the true product is unimodular (adjugate)."""
-        m = self.m
-        adj = alg.mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
-        return ScaledMat(adj, np.asarray(self.log_scale, dtype=float))
+        ls = np.asarray(self.log_scale, dtype=float)
+        return ScaledMat(alg.adj(self.m), ls)
 
 
 _CHUNK = 4096  # matrices per scanned chunk, whatever the batch shape
@@ -719,7 +716,7 @@ class Family:
             return self.cocycle.expr.jet(pts, self.w, order)
         if self.kind == ROT_TWIST:
             a = self.eval_theta(theta, x)
-            da = -2 * np.pi * (_J @ a)
+            da = -2 * np.pi * alg.mul(alg.J, a)
             out = [a, da]
             if order >= 2:
                 out.append(-((2 * np.pi) ** 2) * a)

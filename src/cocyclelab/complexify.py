@@ -130,8 +130,10 @@ def ah_extend_scalar(samples, kernel, sigma, t):
 class AHCocycleExtension:
     """Unimodular asymptotically holomorphic extension of sampled entries.
 
-    Normalizes by (ext(a) ext(d) - ext(b) ext(c))^(-1/2) with the square
-    root branch continued from t = 0, where the determinant is 1.
+    Normalizes by det^(-1/2), det = ext(a) ext(d) - ext(b) ext(c), with
+    the principal square root.  That root continues the branch from t = 0,
+    where det = 1, only while Re(det) > 0; a point with Re(det) <= 0 raises
+    DetVanishes.
     """
 
     def __init__(self, alpha, samples, kernel):
@@ -157,10 +159,10 @@ class AHCocycleExtension:
             raise DetVanishes(
                 f"extension determinant reached {np.min(np.abs(det)):.2e}"
             )
-        root = np.sqrt(det)  # det ~ 1 near t = 0; flip any wrapped branch
-        root = np.where(root.real < 0, -root, root)
+        if np.any(det.real <= 0):  # the principal root leaves the branch
+            raise DetVanishes("extension determinant left Re(det) > 0")
         m = alg.mat2(a, b, c, d)
-        return m / root[..., None, None]
+        return m / np.sqrt(det)[..., None, None]
 
     def theta_cocycle(self, theta):
         """Phase-family member at complex theta, as an evaluable cocycle."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg
-from .cocycle import Cocycle
+from .cocycle import Cocycle, _cosh_family
 from .errors import (
     ChartMiss,
     CommutationResidual,
@@ -127,8 +127,8 @@ def commuting_pair(cocycle, cf, n, x_star=0.0, check_grid=64, tol=1e-8):
         cocycle=cocycle,
     )
     xs = np.linspace(0.0, 1.0, check_grid, endpoint=False)
-    lhs = pair.eval1(xs + 1.0) @ pair.eval0(xs)
-    rhs = pair.eval0(xs + alpha_n) @ pair.eval1(xs)
+    lhs = alg.mul(pair.eval1(xs + 1.0), pair.eval0(xs))
+    rhs = alg.mul(pair.eval0(xs + alpha_n), pair.eval1(xs))
     res = float(np.max(alg.spectral_norm(lhs - rhs)))
     pair.commutation_residual = res
     if res > tol:
@@ -153,14 +153,16 @@ def _polar_2x2(m):
     if np.any(w <= 0):
         raise ChartMiss("polar factor not positive definite")
     p = v @ np.diag(np.sqrt(w)) @ v.T
-    k = m @ np.linalg.inv(p)
-    # project K back to SO(2) against rounding drift
-    ang = np.arctan2(k[1, 0], k[0, 0])
-    k = np.array(
-        [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
-    )
+    k = alg.mul(m, alg.inv(p))
+    ang = np.arctan2(k[1, 0], k[0, 0])  # projects K onto SO(2)
     logp = v @ np.diag(np.log(np.sqrt(w))) @ v.T
     return ang, logp
+
+
+def _conjugate(bmap, mats, xs, shift):
+    """B(x + shift) M(x) B(x)^{-1} at xs from mats = M(xs); B is unimodular."""
+    head = alg.mul(bmap.eval(xs + shift), mats)
+    return alg.mul(head, alg.adj(bmap.eval(xs)))
 
 
 class NormalizingMap:
@@ -187,14 +189,10 @@ class NormalizingMap:
             psi = alg.unwrap_args(col)  # angle of A0 in revolutions
             coef = np.polyfit(xs, psi, 1)
             self.aff_a, self.aff_b = float(coef[0]), float(coef[1])
-            self.res_x = xs
             self.res_r = psi - (self.aff_a * xs + self.aff_b)
         else:
-            m0 = mats[0]
-            target = np.array(
-                [[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]]
-            )  # A0(0)^{-1}
-            self.angle, self.logp = _polar_2x2(target)
+            # A0(0)^{-1}: A0 is unimodular
+            self.angle, self.logp = _polar_2x2(alg.adj(mats[0]))
 
     def _seed_rotation(self, u):
         # angle: exact quadratic kill of the affine part, stepped residual
@@ -203,18 +201,13 @@ class NormalizingMap:
         return alg.rot(-(quad + _smooth_step(u) * r0)).real
 
     def _seed_polar(self, u):
+        # exp(eta logp) = f I + g eta logp: logp is traceless and symmetric
         eta = _smooth_step(u)
-        out = np.empty((len(u), 2, 2))
-        for i, e in enumerate(eta):
-            k = np.array(
-                [
-                    [np.cos(e * self.angle), -np.sin(e * self.angle)],
-                    [np.sin(e * self.angle), np.cos(e * self.angle)],
-                ]
-            )
-            w, v = np.linalg.eigh(e * self.logp)
-            out[i] = k @ (v @ np.diag(np.exp(w)) @ v.T)
-        return out
+        lp = self.logp
+        f, g, _, _ = _cosh_family(eta**2 * (lp[0, 0] ** 2 + lp[0, 1] ** 2))
+        ge = (g.real * eta)[:, None, None]
+        expo = f.real[:, None, None] * np.eye(2) + ge * lp
+        return alg.mul(alg.rot(eta * self.angle / (2.0 * np.pi)), expo)
 
     def eval(self, x):
         """B at arbitrary x >= 0 (recursion depth = floor(x))."""
@@ -229,19 +222,12 @@ class NormalizingMap:
         if np.any(todo):
             prev = self.eval(x[todo] - 1.0)
             a0 = self.pair.eval0(x[todo] - 1.0).real
-            inv = np.empty_like(a0)
-            inv[:, 0, 0] = a0[:, 1, 1]
-            inv[:, 0, 1] = -a0[:, 0, 1]
-            inv[:, 1, 0] = -a0[:, 1, 0]
-            inv[:, 1, 1] = a0[:, 0, 0]
-            out[todo] = prev @ inv
+            out[todo] = alg.mul(prev, alg.adj(a0))
         return out
 
     def residual(self, grid=64):
         xs = np.linspace(0.0, 1.0, grid, endpoint=False)
-        lhs = self.eval(xs + 1.0) @ self.pair.eval0(xs).real @ np.linalg.inv(
-            self.eval(xs)
-        )
+        lhs = _conjugate(self, self.pair.eval0(xs).real, xs, 1.0)
         return float(np.max(alg.spectral_norm(lhs - np.eye(2))))
 
 
@@ -275,17 +261,9 @@ def renorm_representative(pair, bmap=None, samples=1024, tol=1e-7):
     n = samples
     while True:
         xs = np.arange(n) / n
-        rep = (
-            bmap.eval(xs + pair.alpha_n)
-            @ pair.eval1(xs).real
-            @ np.linalg.inv(bmap.eval(xs))
-        )
-        sub = xs[:: max(n // 64, 1)]
-        per = (
-            bmap.eval(sub + 1.0 + pair.alpha_n)
-            @ pair.eval1(sub + 1.0).real
-            @ np.linalg.inv(bmap.eval(sub + 1.0))
-        )
+        rep = _conjugate(bmap, pair.eval1(xs).real, xs, pair.alpha_n)
+        sub = xs[:: max(n // 64, 1)] + 1.0
+        per = _conjugate(bmap, pair.eval1(sub).real, sub, pair.alpha_n)
         res = float(
             np.max(alg.spectral_norm(per - rep[:: max(n // 64, 1)]))
         )
@@ -325,7 +303,8 @@ def rotation_distance(rep, deg, n):
 
     def dist(theta):
         twist = alg.rot(-theta - model_deg * xs)
-        return float(np.max(alg.spectral_norm(twist @ mats - np.eye(2))))
+        off = alg.mul(twist, mats) - np.eye(2)
+        return float(np.max(alg.spectral_norm(off)))
 
     thetas = np.arange(256) / 256
     vals = [dist(t) for t in thetas]

@@ -55,12 +55,6 @@ def _shift_cubic(values, shift, grid):
     return re + 1j * im
 
 
-def _mobius_batch(mats, z):
-    num = mats[:, 0, 0] * z + mats[:, 0, 1]
-    den = mats[:, 1, 0] * z + mats[:, 1, 1]
-    return num / den
-
-
 def invariant_section(
     member,
     grid=512,
@@ -83,16 +77,14 @@ def invariant_section(
         interp = "cubic" if isinstance(member, _AHMember) else "fourier"
     xs = np.arange(grid) / grid
     alpha = float(member.alpha[0])
+    fwd = alg.disk_coords(member.eval(xs[:, None]))
     if direction == "forward":
         # m_new(x) = Adisk(x - alpha) . m(x - alpha)
         mats = alg.disk_coords(member.eval((xs - alpha)[:, None]))
         shift = alpha
     else:
-        # m_new(x) = Adisk(x)^{-1} . m(x + alpha)
-        fwd = alg.disk_coords(member.eval(xs[:, None]))
-        mats = alg.mat2(
-            fwd[:, 1, 1], -fwd[:, 0, 1], -fwd[:, 1, 0], fwd[:, 0, 0]
-        )  # adjugate = inverse (det 1)
+        # m_new(x) = Adisk(x)^{-1} . m(x + alpha), Adisk unimodular
+        mats = alg.adj(fwd)
         shift = -alpha
 
     m = np.zeros(grid, dtype=complex)
@@ -103,7 +95,7 @@ def invariant_section(
             if interp == "fourier"
             else _shift_cubic(m, shift, xs)
         )
-        new = _mobius_batch(mats, shifted)
+        new = alg.mobius_apply(mats, shifted)
         update = float(np.max(alg.hyperbolic_distance_unchecked(new, m)))
         m = new
         if update < tol and it > 0:
@@ -118,13 +110,12 @@ def invariant_section(
         raise SlowContraction("section escaped the open disk")
 
     # a-posteriori residual in m(x + alpha) = Adisk(x) . m(x), every node
-    fwd = alg.disk_coords(member.eval(xs[:, None]))
     lhs = (
         _shift_fourier(m, -alpha)
         if interp == "fourier"
         else _shift_cubic(m, -alpha, xs)
     )
-    rhs = _mobius_batch(fwd, m)
+    rhs = alg.mobius_apply(fwd, m)
     residual = float(np.max(alg.hyperbolic_distance_unchecked(lhs, rhs)))
     return DiskSection(
         grid=xs, values=m, t=level, side=side, residual=residual
@@ -136,7 +127,7 @@ def section_lyapunov(member, section):
     mats = alg.disk_coords(member.eval(section.grid[:, None]))
     taus = alg.tau(mats, section.values)
     l_tau = float(np.mean(np.log(np.abs(taus))))
-    m_tilde = _mobius_batch(mats, section.values)
+    m_tilde = alg.mobius_apply(mats, section.values)
     q = (
         (1.0 - np.abs(section.values) ** 2)
         / (1.0 - np.abs(m_tilde) ** 2)

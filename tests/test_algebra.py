@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cocyclelab import algebra as alg
 from cocyclelab.errors import DegenerateTau, PoleOnCircle, UnwrapStep
@@ -39,6 +41,64 @@ def test_disk_coords_homomorphism():
     lhs = alg.disk_coords(a @ b)
     rhs = alg.disk_coords(a) @ alg.disk_coords(b)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@seed(1310)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), max_size=2),
+    st.floats(1e-3, 1e3),
+)
+def test_disk_coords_complex_matches_conjugation(s, lead, scale):
+    # complexified members feed complex matrices; the oracle is Q A Q^-1
+    rng = np.random.default_rng(s)
+    shape = tuple(lead) + (2, 2)
+    a = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    got = alg.disk_coords(a)
+    want = alg.Q @ a @ alg.QINV
+    assert got.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    back = alg.from_disk_coords(got)
+    assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
+
+
+def test_inv_is_inverse_on_complex_matrices():
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+    m = m[np.linalg.cond(m) < 1e3]
+    assert len(m) > 1000
+    assert np.max(np.abs(alg.mul(alg.inv(m), m) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(alg.inv(m[0]) @ m[0] - np.eye(2))) < 1e-12
+
+
+def test_adj_is_inverse_on_sl2r():
+    m = alg.random_sl2r(RNG, scale=2.0, size=500)
+    assert np.max(np.abs(alg.adj(m) - alg.inv(m))) <= 1e-13 * np.max(
+        np.abs(m)
+    )
+    assert np.max(np.abs(alg.mul(alg.adj(m), m) - np.eye(2))) < 1e-12
+
+
+def test_mat2_broadcasts_and_promotes():
+    col = np.arange(3.0)
+    for entries in [
+        (1, col, 2j, col[:, None]),
+        (1, 0, 0, 1),
+        (np.float32(1.5), 2, col, 1),
+        (1.0, col.astype(np.float32), np.zeros(3, complex), 0),
+    ]:
+        # reference: the nested-stack build
+        a, b, c, d = np.broadcast_arrays(*map(np.asarray, entries))
+        want = np.stack(
+            [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
+        )
+        got = alg.mat2(*entries)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert alg.mat2(1, col, 2j, col[:, None]).shape == (3, 3, 2, 2)
+    assert alg.mat2(1, col, 2j, col[:, None]).dtype == complex
 
 
 def test_mobius_identity():

@@ -4,7 +4,7 @@ import pytest
 from cocyclelab import algebra as alg
 from cocyclelab import cocycle as cc
 from cocyclelab import complexify as cx
-from cocyclelab.errors import NoContraction, Undersampled
+from cocyclelab.errors import DetVanishes, NoContraction, Undersampled
 from cocyclelab.trig import TrigPoly
 
 GOLD = cc.GOLDEN_MEAN
@@ -120,6 +120,17 @@ def test_ah_cocycle_t_zero_and_det():
     assert np.max(np.abs(got - samples[:64])) < 1e-10
     det = np.linalg.det(got)
     assert np.max(np.abs(det - 1.0)) < 1e-10
+
+
+def test_ah_cocycle_det_off_half_plane_raises(monkeypatch):
+    xs, expr, samples = _sampled_rotation(G=4096)
+    ext = cx.AHCocycleExtension([GOLD], samples, cx.ah_kernel(1.0))
+    extend = cx.ah_extend_scalar
+    # every entry times i: det = -1, where the principal root is i and no
+    # longer continues the branch from det = 1
+    monkeypatch.setattr(cx, "ah_extend_scalar", lambda *a: 1j * extend(*a))
+    with pytest.raises(DetVanishes):
+        ext.eval_at(xs[:64], 0.0)
 
 
 def test_ah_cocycle_real_symmetry():

@@ -90,6 +90,29 @@ def test_normalizing_map_generic_pair():
     assert bmap.residual() <= 1e-8
 
 
+def _seed_polar_loop(bmap, u):
+    """Plain reference: the polar seed path by one eigh per sample."""
+    eta = rn._smooth_step(u)
+    out = np.empty((len(u), 2, 2))
+    for i, e in enumerate(eta):
+        c, s = np.cos(e * bmap.angle), np.sin(e * bmap.angle)
+        w, v = np.linalg.eigh(e * bmap.logp)
+        out[i] = np.array([[c, -s], [s, c]]) @ (v @ np.diag(np.exp(w)) @ v.T)
+    return out
+
+
+@pytest.mark.parametrize("lam, level", [(1.5, 2), (2.0, 3), (1.2, 4)])
+def test_seed_polar_matches_eigh_loop(lam, level):
+    c = cc.Cocycle([GOLD], cc.herman(lam, (1,)))
+    cf = rn.continued_fraction(GOLD, level + 2)
+    bmap = rn.NormalizingMap(rn.commuting_pair(c, cf, level))
+    assert not bmap.rotation_valued
+    u = np.linspace(0.0, 1.0, 257)
+    got, want = bmap._seed_polar(u), _seed_polar_loop(bmap, u)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert bmap.residual() <= 1e-8
+
+
 def test_representative_periodic_and_degree_flip():
     phi = TrigPoly.cosine((1,), 0.1)
     c = cc.Cocycle([GOLD], cc.Rot((1,), phi))
