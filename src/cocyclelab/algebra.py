@@ -2,7 +2,8 @@
 
 This module is the 2x2 kernel layer of the library: `mat2` builds a stack,
 `mul` multiplies, `det`, `adj` and `inv` invert, `disk_coords` conjugates
-into SU(1,1) and `mobius_apply` acts on the disk.  Other modules call these
+into SU(1,1), `mobius_apply` acts on the disk and `conformal_split` splits a
+real matrix into its rotation and reflection parts.  Other modules call these
 and do not hand-roll entrywise products, adjugates, inverses or Moebius
 maps of their own.
 
@@ -267,21 +268,39 @@ def _is_effectively_real(M):
     return np.max(np.abs(M.imag)) <= 1e-12 * max(scale, 1e-300)
 
 
+def conformal_split(M):
+    """(q, r) with M z = q z + r conj(z), for real (..., 2, 2) stacks M.
+
+    Identifying R^2 with C, [[a, b], [c, d]] acts as z -> q z + r conj(z)
+    with the rotation part q = ((a+d) + i(c-b))/2 and the reflection part
+    r = ((a-d) + i(c+b))/2; the singular values are |q| + |r| and
+    ||q| - |r||, and a rotation R_s multiplies q by exp(2 pi i s).  Complex
+    input raises ValueError: the split holds for real matrices only.
+    """
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        raise ValueError("conformal_split needs real matrices")
+    a, b = M[..., 0, 0], M[..., 0, 1]
+    c, d = M[..., 1, 0], M[..., 1, 1]
+    q = np.empty(a.shape, complex)
+    r = np.empty(a.shape, complex)
+    q.real, q.imag = (a + d) / 2.0, (c - b) / 2.0
+    r.real, r.imag = (a - d) / 2.0, (c + b) / 2.0
+    return q, r
+
+
 def singular_values(M):
     """(sigma_max, sigma_min) of (..., 2, 2) matrices.
 
-    Real matrices use the cancellation-free split
-        2 sigma_max = sqrt((a+d)^2 + (b-c)^2) + sqrt((a-d)^2 + (b+c)^2),
+    Real matrices use the cancellation-free `conformal_split`,
+        sigma_max = |q| + |r|,  sigma_min = ||q| - |r||,
     exact for isometries; complex ones fall back to the Frobenius form.
     """
     M = np.asarray(M)
     if _is_effectively_real(M):
-        R = M.real
-        a, b = R[..., 0, 0], R[..., 0, 1]
-        c, d = R[..., 1, 0], R[..., 1, 1]
-        p = np.sqrt((a + d) ** 2 + (b - c) ** 2)
-        q = np.sqrt((a - d) ** 2 + (b + c) ** 2)
-        return (p + q) / 2.0, np.abs(p - q) / 2.0
+        q, r = conformal_split(M.real)
+        q, r = np.abs(q), np.abs(r)
+        return q + r, np.abs(q - r)
     f2 = np.sum(np.abs(M) ** 2, axis=(-2, -1))
     dm = np.abs(det(M))
     gap = np.sqrt(np.maximum(f2 * f2 - 4.0 * dm * dm, 0.0))

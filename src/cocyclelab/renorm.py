@@ -293,45 +293,56 @@ def sampled_degree(rep):
 def rotation_distance(rep, deg, n):
     """(theta_hat, distance) against the rotation model R_{theta + (-1)^n deg x}.
 
-    distance(theta) = max-grid spectral norm of
-    R_{-theta - (-1)^n deg x} A(x) - Id, minimized over theta by a coarse
-    scan refined with golden-section search.
-    """
-    model_deg = ((-1) ** n) * deg
-    xs = rep.grid
-    mats = rep.mats
+    distance(theta) is the max over the grid of the spectral norm of
+    R_{-theta - (-1)^n deg x} A(x) - Id, in closed form: A(x) acts as
+    z -> q(x) z + r(x) conj(z) (`alg.conformal_split`), the twist multiplies
+    q by exp(-2 pi i (theta + (-1)^n deg x)) and leaves |r| alone, so
 
-    def dist(theta):
-        twist = alg.rot(-theta - model_deg * xs)
-        off = alg.mul(twist, mats) - np.eye(2)
-        return float(np.max(alg.spectral_norm(off)))
+        distance(theta) = max_x |q(x) e^{-2 pi i (theta + (-1)^n deg x)} - 1|
+                          + |r(x)|.
+
+    q and |r| are computed once; any set of theta is one broadcast.  A
+    256-point scan picks the three lowest local minima of the scan, each is
+    refined by 80 golden-section steps over +-1/256 (the three in lockstep),
+    and the best wins.  Complex rep.mats raise ValueError.
+    """
+    q, r = alg.conformal_split(rep.mats)
+    q = q * np.exp(-2j * np.pi * ((-1) ** n) * deg * rep.grid)
+    r = np.abs(r)
+
+    def dist(thetas):
+        turn = np.exp(-2j * np.pi * thetas)[..., None]
+        return np.max(np.abs(q * turn - 1.0) + r, axis=-1)
 
     thetas = np.arange(256) / 256
-    vals = [dist(t) for t in thetas]
-    k = int(np.argmin(vals))
-    lo, hi = thetas[k] - 1.0 / 256, thetas[k] + 1.0 / 256
+    vals = dist(thetas)  # the (theta x grid) table in one broadcast
+    minima = np.flatnonzero(
+        (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    )
+    ks = minima[np.argsort(vals[minima], kind="stable")[:3]]
+    a, b = thetas[ks] - 1.0 / 256, thetas[ks] + 1.0 / 256
     gr = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = dist(c), dist(d)
     for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = dist(d)
+        left = fc < fd  # keep [a, d], else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fnew = dist(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
     theta_hat = (a + b) / 2
-    return float(np.mod(theta_hat, 1.0)), dist(theta_hat)
+    final = dist(theta_hat)
+    j = int(np.argmin(final))
+    return float(np.mod(theta_hat[j], 1.0)), float(final[j])
 
 
 def renorm_cascade(cocycle, depth, x_star=0.0, samples=1024):
     """Per-level renormalization diagnostics for a one-frequency cocycle.
 
     Returns a list of dict rows: level, alpha_n, commutation residual,
-    representative degree, theta_hat and rotation-model distance.
+    representative degree, theta_hat, rotation-model distance, periodicity
+    residual and the representative's final sample count.
     """
     from .cocycle import homotopy_class
 
@@ -353,6 +364,7 @@ def renorm_cascade(cocycle, depth, x_star=0.0, samples=1024):
                 "theta_hat": theta_hat,
                 "distance": distance,
                 "periodicity_residual": rep.periodicity_residual,
+                "samples": len(rep.grid),
             }
         )
     return rows

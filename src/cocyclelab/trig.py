@@ -6,6 +6,8 @@ analytic continuation used by the strip machinery.  Real-valued polys keep
 the c_{-k} = conj(c_k) pairing structurally.
 """
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import Overflow
@@ -14,9 +16,13 @@ _EXP_LIMIT = 690.0  # exp beyond this exceeds 1e299
 
 
 class TrigPoly:
+    """Finite Fourier sum.  `coeffs` is a read-only view, so the sorted mode
+    matrix and coefficient vector that `eval` uses, built once at
+    construction, cannot go stale."""
+
     def __init__(self, dim, coeffs=None, real=True):
         self.dim = int(dim)
-        self.coeffs = {}
+        out = {}
         if coeffs:
             for k, c in coeffs.items():
                 k = tuple(int(v) for v in k)
@@ -24,10 +30,22 @@ class TrigPoly:
                     raise ValueError("mode length != dim")
                 c = complex(c)
                 if c != 0:
-                    self.coeffs[k] = self.coeffs.get(k, 0.0) + c
+                    out[k] = out.get(k, 0.0) + c
+        self._coeffs = MappingProxyType(out)
         self.real = bool(real)
         if self.real:
             self._check_real_pairing()
+        modes = sorted(out)
+        self._modes = np.array(modes, dtype=float).reshape(-1, self.dim)
+        self._coefs = np.array([out[k] for k in modes], dtype=complex)
+
+    @property
+    def coeffs(self):
+        """Read-only mode -> coefficient mapping."""
+        return self._coeffs
+
+    def __reduce__(self):  # pickle and deepcopy rebuild from the mapping
+        return TrigPoly, (self.dim, dict(self._coeffs), self.real)
 
     def _check_real_pairing(self):
         for k, c in self.coeffs.items():
@@ -91,13 +109,6 @@ class TrigPoly:
         return c0.real if self.real else c0
 
     # -- evaluation ---------------------------------------------------------
-    def _mode_matrix(self):
-        if not self.coeffs:
-            return np.zeros((0, self.dim)), np.zeros((0,), dtype=complex)
-        modes = np.array(sorted(self.coeffs.keys()), dtype=float)
-        coefs = np.array([self.coeffs[tuple(int(v) for v in m)] for m in modes])
-        return modes, coefs
-
     def eval(self, x):
         """Evaluate at torus points x of shape (..., dim); x may be complex."""
         x = np.asarray(x)
@@ -105,7 +116,7 @@ class TrigPoly:
             x = x.reshape(1)
         if x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
-        modes, coefs = self._mode_matrix()
+        modes, coefs = self._modes, self._coefs
         if modes.shape[0] == 0:
             return np.zeros(x.shape[:-1], dtype=complex)
         phase = 2j * np.pi * (x @ modes.T)

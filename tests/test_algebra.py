@@ -101,6 +101,37 @@ def test_mat2_broadcasts_and_promotes():
     assert alg.mat2(1, col, 2j, col[:, None]).dtype == complex
 
 
+@seed(1310)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1e-3, 1e3),
+)
+def test_conformal_split_twisted_distance(s, turn, scale):
+    # the closed form of the rotation-model distance in renorm
+    m = scale * np.random.default_rng(s).normal(size=(8, 2, 2))
+    q, r = alg.conformal_split(m)
+    got = np.abs(q * np.exp(-2j * np.pi * turn) - 1.0) + np.abs(r)
+    want = alg.spectral_norm(alg.mul(alg.rot(-turn), m) - np.eye(2))
+    norm = np.linalg.norm(m, 2, axis=(-2, -1))
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + norm))
+    # z -> q z + r conj(z) is the action of m on z = x + iy
+    z = complex(*np.random.default_rng(s + 1).normal(size=2))
+    w = m @ np.array([z.real, z.imag])
+    assert np.allclose(q * z + r * np.conj(z), w[:, 0] + 1j * w[:, 1])
+
+
+def test_conformal_split_singular_values_and_real_guard():
+    m = RNG.normal(size=(300, 2, 2))
+    smax, smin = alg.singular_values(m)
+    sv = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(smax - sv[:, 0]) / sv[:, 0]) <= 1e-14
+    assert np.max(np.abs(smin - sv[:, 1]) / sv[:, 0]) <= 1e-14
+    with pytest.raises(ValueError):
+        alg.conformal_split(m + 0j)
+
+
 def test_mobius_identity():
     assert alg.mobius_apply(np.eye(2), 0.3 + 0.1j) == pytest.approx(
         0.3 + 0.1j

@@ -163,3 +163,57 @@ def test_cascade_on_exact_model():
     rows = rn.renorm_cascade(m, 3)
     for r in rows:
         assert r["distance"] <= 1e-10
+
+
+def _rotation_distance_brute(rep, deg, n):
+    """Plain reference: spectral-norm scan of the twisted grid, 256 points,
+    then 80 golden-section steps around the best one."""
+    model_deg = ((-1) ** n) * deg
+
+    def dist(theta):
+        twist = alg.rot(-theta - model_deg * rep.grid)
+        off = alg.mul(twist, rep.mats) - np.eye(2)
+        return float(np.max(alg.spectral_norm(off)))
+
+    thetas = np.arange(256) / 256
+    k = int(np.argmin([dist(t) for t in thetas]))
+    a, b = thetas[k] - 1.0 / 256, thetas[k] + 1.0 / 256
+    gr = (np.sqrt(5) - 1) / 2
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = dist(c), dist(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = dist(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = dist(d)
+    theta_hat = (a + b) / 2
+    return float(np.mod(theta_hat, 1.0)), dist(theta_hat), dist
+
+
+@pytest.mark.parametrize("x_star", [0.0, 0.3])
+def test_rotation_distance_matches_brute_force(x_star):
+    c = cc.Cocycle([GOLD], cc.Rot((1,), TrigPoly.cosine((1,), 0.1)))
+    rows = rn.renorm_cascade(c, 6, x_star=x_star)
+    cf = rn.continued_fraction(GOLD, 7)
+    for row in rows:
+        n = row["level"]
+        pair = rn.commuting_pair(c, cf, n, x_star=x_star)
+        rep = rn.renorm_representative(pair, rn.normalizing_map(pair))
+        assert row["samples"] == len(rep.grid) >= 1024
+        _, want, dist = _rotation_distance_brute(rep, 1, n)
+        assert abs(row["distance"] - want) <= 1e-10
+        assert row["distance"] <= want + 1e-12
+        # the closed form is the spectral-norm distance at theta_hat
+        assert abs(dist(row["theta_hat"]) - row["distance"]) <= 1e-12
+
+
+def test_rotation_distance_rejects_complex_mats():
+    xs = np.arange(64) / 64
+    mats = alg.rot(0.2 + xs).astype(complex)
+    rep = rn.SampledCocycle(GOLD, xs, mats, 0.0)
+    with pytest.raises(ValueError):
+        rn.rotation_distance(rep, 1, 2)
