@@ -6,36 +6,58 @@ is computed from exact expression-tree jets (never finite differences):
     g = cross(u, u') / |u|^2,   u = A_theta(x) y,   u' = (d/dtheta A) y,
 
 in radians per unit parameter, with the convention that rotations R_theta
-increase the angle.  A certificate combines a uniform sign on the grid with a
-crude-but-sound Lipschitz bound on g obtained from Bernstein-type coefficient
-norms of the tree.
+increase the angle.  Every member has det A = 1, so u' = B u with
+B = A' adj(A), and g = u^T K B u / |u|^2 with K = [[0, 1], [-1, 0]]: a
+Rayleigh quotient of H = sym(K B).  Its range over all directions y is
+therefore exactly the eigenvalue pair of H, and the extreme y is adj(A)
+applied to the matching eigenvector.  Only x and theta are sampled on a
+grid; a certificate combines a uniform sign on that grid with a
+crude-but-sound Lipschitz bound on g in x and theta obtained from
+Bernstein-type coefficient norms of the tree.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra as alg
 from .cocycle import PHASE_SHIFT, ROT_TWIST, SCHRODINGER_E, Family
 from .errors import NotMonotonic, Uncertified
 
 
 @dataclass
 class MonotonicityReport:
-    epsilon: float          # signed extremal angular speed (radians/parameter)
-    argmin: tuple           # (x, y angle, theta) attaining |g| minimum
-    grid: tuple             # (x nodes, y nodes, theta nodes)
+    epsilon: float          # signed extremal angular speed (radians/parameter),
+                            # exact over y, minimal |g| over the (x, theta) grid
+    argmin: tuple           # (x, y angle in [0, pi), theta) attaining it; the
+                            # y angle is that of adj(A) times H's eigenvector
+    grid: tuple             # (x nodes, theta nodes)
     certified: bool
-    margin: float           # Lipschitz exclusion margin on the grid
+    margin: float           # Lipschitz exclusion margin in x and theta
 
 
-def _angle_speed(family, theta, xs, ys):
-    """g(x, y) for one theta; xs (N,d), ys (M,2) unit vectors."""
+def _speed_range(family, theta, xs):
+    """Exact range of g over all directions y at one theta; xs (N,d).
+
+    Returns (lo, hi, psi_lo, psi_hi), each (N,): the eigenvalues of H at
+    each node and the projective angles in [0, pi) of the y attaining them.
+    Complexified members (any nonzero imaginary part) raise ValueError.
+    """
     a, da = family.theta_jet(theta, xs, order=1)[:2]
-    u = np.einsum("nij,mj->nmi", a, ys)
-    du = np.einsum("nij,mj->nmi", da, ys)
-    cross = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]).real
-    norm2 = (np.abs(u[..., 0]) ** 2 + np.abs(u[..., 1]) ** 2).real
-    return cross / norm2
+    if np.any(np.imag(a)) or np.any(np.imag(da)):
+        raise ValueError("monotonicity is defined for real members only")
+    inv = alg.adj(np.real(a))
+    b = alg.mul(np.real(da), inv)
+    # H = sym(K B) = [[p, q], [q, r]] in the entries of B
+    p, r = b[..., 1, 0], -b[..., 0, 1]
+    q = (b[..., 1, 1] - b[..., 0, 0]) / 2.0
+    mid, rad = (p + r) / 2.0, np.hypot((p - r) / 2.0, q)
+    # eigenvector angle of mid + rad, in revolutions
+    top = np.arctan2(2.0 * q, p - r) / (4.0 * np.pi)
+    # first columns of adj(A) R_phi are the y with A y along each eigenvector
+    ys = alg.mul(inv, alg.rot(np.stack([top + 0.25, top])))[..., 0]
+    psi = np.mod(np.arctan2(ys[..., 1], ys[..., 0]), np.pi)
+    return mid - rad, mid + rad, psi[0], psi[1]
 
 
 def _x_grid(dim, n):
@@ -63,20 +85,19 @@ def _family_sup_bounds(family, theta_window):
 
 
 def _lipschitz_bound(family, direction_kind, xdir=None, theta_window=(0.0, 1.0)):
-    """Bound on the derivative of g along one grid direction.
+    """Bound on the derivative of g along theta or a base direction xdir.
 
     Quotient rule with |u| >= 1/M0 (unimodularity) and |u| <= M0:
         |d_s g| <= M0^2 (3 M1 B0s + M0 B1s),
-    where B0s, B1s bound |d_s A y| and |d_s dA y|.  Sound and crude; strict
-    families (rotation twists have g = -2 pi exactly) shortcut to zero.
+    where B0s, B1s bound |d_s A y| and |d_s dA y|, uniformly in y.  Sound
+    and crude; strict families (rotation twists have g = -2 pi exactly)
+    shortcut to zero.
     """
     if family.kind == ROT_TWIST:
         return 0.0  # g is identically -2 pi for rotation twists
     m0, m1, m2 = _family_sup_bounds(family, theta_window)
     if direction_kind == "theta":
         b0s, b1s = m1, m2
-    elif direction_kind == "y":
-        b0s, b1s = m0, m1
     else:  # base direction xdir; mixed bound via polarization
         if family.kind == PHASE_SHIFT:
             b0s = family.cocycle.expr.bounds(xdir)[1]
@@ -102,21 +123,19 @@ def _lipschitz_bound(family, direction_kind, xdir=None, theta_window=(0.0, 1.0))
 def monotonicity_constant(
     family,
     xgrid=64,
-    ygrid=128,
     thetagrid=16,
     theta_window=(0.0, 1.0),
     require_certificate=False,
 ):
-    """Extremal angular speed over a grid, with sign check and certificate.
+    """Extremal angular speed, exact over y and sampled over (x, theta),
+    with sign check and certificate.
 
-    Raises NotMonotonic (with a witness) on a sign change.  When the
-    Lipschitz margin cannot exclude an off-grid sign change the report is
-    returned uncertified, or Uncertified is raised if a certificate was
-    required.
+    Raises NotMonotonic (with a witness) on a sign change and ValueError on
+    a complexified member.  When the Lipschitz margin in x and theta cannot
+    exclude an off-grid sign change the report is returned uncertified, or
+    Uncertified is raised if a certificate was required.
     """
     xs = _x_grid(family.dim, xgrid)
-    psis = np.pi * np.arange(ygrid) / ygrid  # projective angles
-    ys = np.stack([np.cos(psis), np.sin(psis)], axis=-1)
     lo, hi = theta_window
     periodic = family.kind in (PHASE_SHIFT, ROT_TWIST)
     thetas = np.linspace(lo, hi, thetagrid, endpoint=not periodic)
@@ -125,58 +144,45 @@ def monotonicity_constant(
         # the infimum over (x, theta)
         thetas = thetas[:1]
 
-    best = None
-    gmin, gmax = np.inf, -np.inf
-    for theta in thetas:
-        g = _angle_speed(family, float(theta), xs, ys)
-        i, j = np.unravel_index(np.argmin(np.abs(g)), g.shape)
-        cand = (float(np.abs(g[i, j])), float(g[i, j]), theta, i, j)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        gmin = min(gmin, float(np.min(g)))
-        gmax = max(gmax, float(np.max(g)))
-        if gmin < 0.0 < gmax:
-            k, l = np.unravel_index(np.argmin(g), g.shape)
-            raise NotMonotonic(
-                "angular derivative changes sign",
-                witness={
-                    "x": xs[k].tolist(),
-                    "y_angle": float(psis[l] / np.pi),
-                    "theta": float(theta),
-                    "value": float(g[k, l]),
-                },
-            )
-
-    _, gval, theta_at, i, j = best
-    argmin = (tuple(xs[i]), float(psis[j]), float(theta_at))
-    grid = (len(xs), ygrid, len(thetas))
+    g_lo, g_hi, psi_lo, psi_hi = (
+        np.stack(v)  # (theta nodes, x nodes)
+        for v in zip(*(_speed_range(family, float(t), xs) for t in thetas))
+    )
+    if np.min(g_lo) < 0.0 < np.max(g_hi):
+        k, i = np.unravel_index(np.argmin(g_lo), g_lo.shape)
+        raise NotMonotonic(
+            "angular derivative changes sign",
+            witness={
+                "x": xs[i].tolist(),
+                "y_angle": float(psi_lo[k, i] / np.pi),
+                "theta": float(thetas[k]),
+                "value": float(g_lo[k, i]),
+            },
+        )
+    # one sign everywhere: |g| is least at the end of each range nearest 0
+    g, psi = (g_lo, psi_lo) if np.min(g_lo) >= 0.0 else (g_hi, psi_hi)
+    k, i = np.unravel_index(np.argmin(np.abs(g)), g.shape)
+    gval = float(g[k, i])
+    argmin = (tuple(xs[i]), float(psi[k, i]), float(thetas[k]))
 
     margin = 0.0
     certified = False
     try:
         hx = 1.0 / (len(xs) ** (1.0 / family.dim))
-        hy = np.pi / ygrid
-        htheta = (hi - lo) / max(len(thetas), 1)
         lips = [
-            _lipschitz_bound(family, "y", theta_window=theta_window)
-            * hy
+            _lipschitz_bound(family, "x", xdir=e, theta_window=theta_window)
+            * hx
             / 2.0
+            for e in np.eye(family.dim)
         ]
         if family.kind != PHASE_SHIFT:
+            # each window point lies within (hi - lo) / halves of a node
+            n = len(thetas)
+            halves = 2 * n if periodic else max(2 * n - 2, 1)
             lips.append(
                 _lipschitz_bound(family, "theta", theta_window=theta_window)
-                * htheta
-                / 2.0
-            )
-        for axis in range(family.dim):
-            e = np.zeros(family.dim)
-            e[axis] = 1.0
-            lips.append(
-                _lipschitz_bound(
-                    family, "x", xdir=e, theta_window=theta_window
-                )
-                * hx
-                / 2.0
+                * (hi - lo)
+                / halves
             )
         margin = float(sum(lips))
         certified = abs(gval) > margin
@@ -189,29 +195,15 @@ def monotonicity_constant(
             f"|epsilon| {abs(gval):.3g}"
         )
     return MonotonicityReport(
-        epsilon=float(gval),
+        epsilon=gval,
         argmin=argmin,
-        grid=grid,
+        grid=(len(xs), len(thetas)),
         certified=certified,
         margin=margin,
     )
 
 
-def sign_scan_oracle(family, nx=256, ny=256, ntheta=256, theta_window=(0.0, 1.0)):
-    """Brute-force sign scan of g; independent oracle for the certifier."""
-    xs = _x_grid(family.dim, nx)
-    psis = np.pi * np.arange(ny) / ny
-    ys = np.stack([np.cos(psis), np.sin(psis)], axis=-1)
-    lo, hi = theta_window
-    gmin, gmax = np.inf, -np.inf
-    for theta in np.linspace(lo, hi, ntheta, endpoint=False):
-        g = _angle_speed(family, float(theta), xs, ys)
-        gmin = min(gmin, float(np.min(g)))
-        gmax = max(gmax, float(np.max(g)))
-    return gmin, gmax
-
-
-def w_cone_sample(cocycle, directions, xgrid=64, ygrid=128):
+def w_cone_sample(cocycle, directions, xgrid=64):
     """Per-direction monotonicity reports for phase families A(x + theta w).
 
     Returns {tuple(w): MonotonicityReport | NotMonotonic | Uncertified}; the
@@ -223,7 +215,7 @@ def w_cone_sample(cocycle, directions, xgrid=64, ygrid=128):
         fam = Family.phase_shift(cocycle, np.asarray(w, dtype=float))
         try:
             out[tuple(np.asarray(w, dtype=float))] = monotonicity_constant(
-                fam, xgrid=xgrid, ygrid=ygrid, thetagrid=1
+                fam, xgrid=xgrid, thetagrid=1
             )
         except (NotMonotonic, Uncertified) as err:
             out[tuple(np.asarray(w, dtype=float))] = err

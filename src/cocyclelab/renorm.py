@@ -303,8 +303,9 @@ def rotation_distance(rep, deg, n):
 
     q and |r| are computed once; any set of theta is one broadcast.  A
     256-point scan picks the three lowest local minima of the scan, each is
-    refined by 80 golden-section steps over +-1/256 (the three in lockstep),
-    and the best wins.  Complex rep.mats raise ValueError.
+    refined by golden-section steps over +-1/256 (the three in lockstep)
+    until no bracket holds a float inside it, at most 80 steps, and the
+    best wins.  Complex rep.mats raise ValueError.
     """
     q, r = alg.conformal_split(rep.mats)
     q = q * np.exp(-2j * np.pi * ((-1) ** n) * deg * rep.grid)
@@ -325,6 +326,8 @@ def rotation_distance(rep, deg, n):
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = dist(c), dist(d)
     for _ in range(80):
+        if np.all(np.nextafter(a, b) >= b):  # no bracket can shrink further
+            break
         left = fc < fd  # keep [a, d], else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         new = np.where(left, b - gr * (b - a), a + gr * (b - a))

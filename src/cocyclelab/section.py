@@ -237,7 +237,8 @@ def derivative_bound_check(
     """Compare |d rho / d theta| at theta_star against epsilon / (2 pi).
 
     Requires L(A_{theta_star}) < lyap_tol (the bound concerns zero-exponent
-    parameters); epsilon defaults to the certified monotonicity constant.
+    parameters); epsilon defaults to the certified monotonicity constant,
+    and Uncertified is raised when the default grid cannot certify it.
     """
     l_est = lyapunov_orbit(family.theta_cocycle(theta_star), n=lyap_n)
     if l_est.value >= lyap_tol:
@@ -245,7 +246,9 @@ def derivative_bound_check(
             f"L = {l_est.value:.3e} >= {lyap_tol} at theta* = {theta_star}"
         )
     if epsilon is None:
-        epsilon = monotonicity_constant(family).epsilon
+        epsilon = monotonicity_constant(
+            family, require_certificate=True
+        ).epsilon
     var = variation_rho(family, theta_star - h, theta_star + h, n=n)
     deriv = var.deltaRho / (2.0 * h)
     return float(deriv), float(abs(epsilon) / (2.0 * np.pi))

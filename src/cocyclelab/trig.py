@@ -117,15 +117,14 @@ class TrigPoly:
         if x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
         modes, coefs = self._modes, self._coefs
+        real = self.real and np.isrealobj(x)
         if modes.shape[0] == 0:
-            return np.zeros(x.shape[:-1], dtype=complex)
+            return np.zeros(x.shape[:-1], dtype=float if real else complex)
         phase = 2j * np.pi * (x @ modes.T)
         if np.max(np.abs(phase.real)) > _EXP_LIMIT:
             raise Overflow("trig poly evaluation out of floating range")
         vals = np.exp(phase) @ coefs
-        if self.real and np.isrealobj(x):
-            return vals.real
-        return vals
+        return vals.real if real else vals
 
     def __call__(self, x):
         return self.eval(x)

@@ -5,7 +5,7 @@ from cocyclelab import algebra as alg
 from cocyclelab import cocycle as cc
 from cocyclelab import complexify as cx
 from cocyclelab import section as sec
-from cocyclelab.errors import NotAtZeroEnergy
+from cocyclelab.errors import NotAtZeroEnergy, Uncertified
 from cocyclelab.trig import TrigPoly
 
 GOLD = cc.GOLDEN_MEAN
@@ -201,6 +201,20 @@ def test_derivative_bound_check():
     hfam = cc.Family.phase_shift(hbase, [1.0])
     with pytest.raises(NotAtZeroEnergy):
         sec.derivative_bound_check(hfam, 0.1, lyap_n=20000)
+
+
+def test_derivative_bound_check_needs_certified_epsilon():
+    # L = 0 and monotone with epsilon = 2 pi (1 - 0.3 pi) ~ 0.361, but the
+    # default grid's x margin exceeds it: no certified epsilon to compare with
+    base = cc.Cocycle([GOLD], cc.Rot((1,), TrigPoly.cosine((1,), 0.15)))
+    fam = cc.Family.phase_shift(base, [1.0])
+    with pytest.raises(Uncertified):
+        sec.derivative_bound_check(fam, 0.2, lyap_n=20000)
+    eps = 2 * np.pi * (1 - 0.3 * np.pi)
+    _, thresh = sec.derivative_bound_check(
+        fam, 0.2, n=4000, lyap_n=20000, epsilon=eps
+    )
+    assert thresh == pytest.approx(1 - 0.3 * np.pi, abs=1e-12)
 
 
 def test_rot_twist_derivative_bound_rotation_valued():

@@ -14,8 +14,6 @@ def _eval_loop(poly, x):
     out = np.zeros(x.shape[:-1], dtype=complex)
     for k, c in poly.coeffs.items():
         out = out + c * np.exp(2j * np.pi * (x @ np.array(k, dtype=float)))
-    if not poly.coeffs:  # the zero poly evaluates to complex zeros
-        return out
     return out.real if poly.real and np.isrealobj(x) else out
 
 
