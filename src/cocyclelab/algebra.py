@@ -79,10 +79,30 @@ def inv(M):
     return adj(M) / det(M)[..., None, None]
 
 
+def as_real(M, what):
+    """M as a real array; ValueError if an entry has nonzero imaginary part."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        if np.any(M.imag != 0):
+            raise ValueError(f"{what} needs real values")
+        M = M.real
+    return M
+
+
 def rot(theta):
-    """Rotation by 2*pi*theta; theta may be complex (analytic continuation)."""
-    th = 2.0 * np.pi * np.asarray(theta)
-    c, s = np.cos(th), np.sin(th)
+    """Rotation by 2*pi*theta; theta may be complex (analytic continuation).
+
+    Real theta gives float64.  Complex theta takes one complex exponential
+    e = exp(2 pi i theta): cos = (e + 1/e) / 2 and sin = (e - 1/e) / 2i.
+    """
+    th = np.asarray(theta)
+    if np.iscomplexobj(th):
+        e = np.exp(2j * np.pi * th)
+        ei = 1.0 / e
+        c, s = 0.5 * (e + ei), -0.5j * (e - ei)
+    else:
+        th = 2.0 * np.pi * th
+        c, s = np.cos(th), np.sin(th)
     return mat2(c, -s, s, c)
 
 

@@ -1,12 +1,16 @@
 """Quasiperiodic cocycles as exact SL(2,R)-valued expression trees.
 
-Trees evaluate at complex torus points (each node is entire), so analytic
-continuation into strips is structural rather than numerical.  Directional
-jets (value, first and second derivative along a fixed direction) are exact
-node-by-node product rules; they back the monotonicity certification.
+Every node is entire, so trees also evaluate at complex torus points and
+analytic continuation into strips is structural rather than numerical.  One
+dtype rule holds for every node: a tree with real coefficients, evaluated at
+real points, returns float64; complex points, complex offsets or complex
+coefficients return complex128.  Directional jets (value, first and second
+derivative along a fixed direction) are exact node-by-node product rules;
+they back the monotonicity certification.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +86,7 @@ class Rot(Node):
         return x @ np.asarray(self.l, dtype=float) + self.phi.eval(x)
 
     def eval(self, x):
-        return alg.rot(self.angle(x)).astype(complex)
+        return alg.rot(self.angle(x))
 
     def jet(self, x, direction, order=1):
         x = _as_points(x, self.dim)
@@ -119,7 +123,7 @@ class DiagExp(Node):
         self.dim = p.dim
 
     def eval(self, x):
-        v = self.p.eval(_as_points(x, self.dim)).astype(complex)
+        v = self.p.eval(_as_points(x, self.dim))
         return alg.mat2(np.exp(v), 0.0, 0.0, np.exp(-v))
 
     def jet(self, x, direction, order=1):
@@ -154,7 +158,7 @@ class _Shear(Node):
         self.dim = q.dim
 
     def eval(self, x):
-        v = self.q.eval(_as_points(x, self.dim)).astype(complex)
+        v = self.q.eval(_as_points(x, self.dim))
         if self._kind == "shear_u":
             return alg.mat2(1.0, v, 0.0, 1.0)
         return alg.mat2(1.0, 0.0, v, 1.0)
@@ -164,7 +168,7 @@ class _Shear(Node):
         u = np.atleast_1d(np.asarray(direction, dtype=float))
         a = self.eval(x)
         q1 = self.q.deriv(u).eval(x)[..., None, None]
-        e = np.broadcast_to(self._E.astype(complex), a.shape)
+        e = np.broadcast_to(self._E.astype(a.dtype), a.shape)
         out = [a, q1 * e]
         if order >= 2:
             q2 = self.q.deriv(u).deriv(u).eval(x)[..., None, None]
@@ -194,13 +198,20 @@ class ShearL(_Shear):
 
 
 class Const(Node):
+    """A constant matrix; stored as float64 when it has no imaginary part."""
+
     def __init__(self, m, dim=1):
-        self.m = np.asarray(m, dtype=complex)
+        m = np.asarray(m)
+        if np.iscomplexobj(m) and not np.any(m.imag):
+            m = m.real
+        self.m = m.astype(complex if np.iscomplexobj(m) else float)
         self.dim = int(dim)
 
     def eval(self, x):
         x = _as_points(x, self.dim)
-        return np.broadcast_to(self.m, x.shape[:-1] + (2, 2)).copy()
+        out = np.empty(x.shape[:-1] + (2, 2), np.result_type(self.m, x))
+        out[...] = self.m
+        return out
 
     def jet(self, x, direction, order=1):
         a = self.eval(x)
@@ -220,22 +231,39 @@ class Const(Node):
         }
 
 
+# Taylor coefficients in w of f, g, g' and g'' (see _cosh_family), k < 12
+_COSH_SERIES = np.array(
+    [
+        [1.0 / math.factorial(2 * k + d) * math.perm(k + o, o) for k in range(12)]
+        for d, o in ((0, 0), (1, 0), (3, 1), (5, 2))
+    ]
+)
+
+
 def _cosh_family(w):
-    """f = cosh(sqrt(w)), g = sinh(sqrt(w))/sqrt(w), g', g''; entire in w."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-6
-    ws = np.where(small, 0.0, w)
-    r = np.sqrt(ws)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(small, 1 + w / 2 + w * w / 24, np.cosh(r))
-        g = np.where(small, 1 + w / 6 + w * w / 120, np.sinh(r) / r)
-        g1 = np.where(small, 1 / 6 + w / 60 + w * w / 1680, (f - g) / (2 * ws))
-        g2 = np.where(
-            small,
-            1 / 60 + w / 840 + w * w / 30240,
-            g / (4 * ws) - 3 * g1 / (2 * ws),
-        )
-    return f, g, g1, g2
+    """f = cosh(sqrt(w)), g = sinh(sqrt(w))/sqrt(w), g', g''; entire in w.
+
+    Real w gives real values: cos and sin of sqrt(-w) where w < 0.  For
+    |w| < 1 the Taylor series replace the closed forms of g' and g'', which
+    lose about log10(1/|w|) and 2 log10(1/|w|) digits to cancellation.
+    """
+    w = np.asarray(w)
+    w = w.astype(complex if np.iscomplexobj(w) else float)
+    small = np.abs(w) < 1.0
+    ws = np.where(small, 1.0, w)
+    if np.iscomplexobj(ws):
+        r = np.sqrt(ws)
+        f, g = np.cosh(r), np.sinh(r) / r
+    else:
+        neg = ws < 0
+        r = np.sqrt(np.abs(ws))
+        rp = np.where(neg, 0.0, r)  # cosh and sinh only where w > 0
+        f = np.where(neg, np.cos(r), np.cosh(rp))
+        g = np.where(neg, np.sin(r), np.sinh(rp)) / r
+    g1 = (f - g) / (2 * ws)
+    g2 = g / (4 * ws) - 3 * g1 / (2 * ws)
+    series = np.polynomial.polynomial.polyval(w, _COSH_SERIES.T)
+    return tuple(np.where(small, s, v) for s, v in zip(series, (f, g, g1, g2)))
 
 
 class ExpSl2(Node):
@@ -254,7 +282,7 @@ class ExpSl2(Node):
             polys = tuple(p.deriv(u) for p in polys)
             if order > 1:
                 polys = tuple(p.deriv(u) for p in polys)
-        a, b, c = (p.eval(x).astype(complex) for p in polys)
+        a, b, c = (p.eval(x) for p in polys)
         return self.t * alg.mat2(a, b + c, b - c, -a)
 
     def eval(self, x):
@@ -262,7 +290,7 @@ class ExpSl2(Node):
         B = self._smat(x)
         w = -alg.det(B)
         f, g, _, _ = _cosh_family(w)
-        eye = np.eye(2, dtype=complex)
+        eye = np.eye(2)
         return f[..., None, None] * eye + g[..., None, None] * B
 
     def jet(self, x, direction, order=1):
@@ -279,7 +307,7 @@ class ExpSl2(Node):
             + M[..., 1, 1] * N[..., 1, 1]
         )
         w1 = tr(B, B1)  # d(-det B) = tr(B B') for traceless B
-        eye = np.eye(2, dtype=complex)
+        eye = np.eye(2)
         val = f[..., None, None] * eye + g[..., None, None] * B
         dv = (
             (0.5 * g * w1)[..., None, None] * eye
@@ -467,11 +495,18 @@ class ScaledMat:
     def matmul(self, other):
         """self @ other with rescaling; overflow-free composition."""
         m = alg.mul(self.m, other.m)
-        ls = np.asarray(self.log_scale + other.log_scale, dtype=float)
-        # a max over the four entry arrays; reducing the (2, 2) axes is slower
-        peak = np.max([np.abs(m[..., i, j]) for i in (0, 1) for j in (0, 1)], axis=0)
-        m = m * (1.0 / peak)[..., None, None]
-        return ScaledMat(m, ls + np.log(peak))
+        return ScaledMat(m, self.log_scale + other.log_scale).rescaled()
+
+    def rescaled(self):
+        """The same products with every largest entry magnitude 1."""
+        a = np.abs(self.m)
+        # entrywise maxima; reducing the (2, 2) axes is slower
+        peak = np.maximum(
+            np.maximum(a[..., 0, 0], a[..., 0, 1]),
+            np.maximum(a[..., 1, 0], a[..., 1, 1]),
+        )
+        m = self.m * (1.0 / peak)[..., None, None]
+        return ScaledMat(m, np.asarray(self.log_scale, dtype=float) + np.log(peak))
 
     def inverse(self):
         """Inverse assuming the true product is unimodular (adjugate)."""
@@ -479,7 +514,54 @@ class ScaledMat:
         return ScaledMat(alg.adj(self.m), ls)
 
 
-_CHUNK = 4096  # matrices per scanned chunk, whatever the batch shape
+_CHUNK = 65536  # matrices per scanned chunk, whatever the batch shape
+_BLOCK = 32  # longest run of steps multiplied one after another
+
+
+def _scan_chunk(a, carry):
+    """Prefix products of the steps a (c, ..., 2, 2), times `carry`.
+
+    The blocked scan of `orbit_products`.  Its last pass is not rescaled:
+    both factors there have entries of order one.
+    """
+    if carry is not None:
+        carry = carry.rescaled()  # keeps carries from drifting over chunks
+    c = len(a)
+    size = c if c <= _BLOCK else min(_BLOCK, math.isqrt(c) + 1)
+    nb, full = -(-c // size), c // size
+    # step j of every block is the contiguous stack m[j] of nb matrices;
+    # the last block is padded with identities
+    m = np.empty((size, nb) + a.shape[1:], a.dtype)
+    by_block = m.swapaxes(0, 1)
+    by_block[:full] = a[: full * size].reshape((full, size) + a.shape[1:])
+    if full < nb:
+        by_block[full, : c - full * size] = a[full * size :]
+        by_block[full, c - full * size :] = np.eye(2, dtype=a.dtype)
+    ls = np.zeros(m.shape[:-2])
+    p = ScaledMat(m[0], ls[0])
+    for j in range(1, size):
+        p = ScaledMat(m[j], 0.0).matmul(p)
+        m[j], ls[j] = p.m, p.log_scale
+    if nb > 1:
+        # incoming products [carry, T0 carry, T1 T0 carry, ...] of the blocks
+        if carry is None:
+            eye = np.broadcast_to(np.eye(2, dtype=a.dtype), a.shape[1:])
+            carry = ScaledMat(eye, np.zeros(a.shape[1:-2]))
+        t = ScaledMat(
+            np.concatenate([carry.m[None], p.m[:-1]]),
+            np.concatenate([np.asarray(carry.log_scale)[None], p.log_scale[:-1]]),
+        )
+        shift = 1
+        while shift < nb:
+            tail = t[shift:].matmul(t[:-shift])
+            t.m[shift:], t.log_scale[shift:] = tail.m, tail.log_scale
+            shift *= 2
+        carry = t[:, None]
+    m, ls = by_block, ls.swapaxes(0, 1)
+    if carry is not None:
+        m, ls = alg.mul(m, carry.m), ls + carry.log_scale
+    flat = (nb * size,) + a.shape[1:-2]
+    return ScaledMat(m.reshape(flat + (2, 2))[:c], ls.reshape(flat)[:c])
 
 
 def orbit_products(steps):
@@ -487,24 +569,27 @@ def orbit_products(steps):
 
     `steps` yields arrays (c, ..., 2, 2) of consecutive steps A[k] over a
     fixed batch shape.  Yields (A, P) chunks of at most _CHUNK matrices (at
-    least one step), P a ScaledMat of shape (c', ...).  Within a chunk the
-    scan doubles (Hillis-Steele, ceil(log2 c') rescaled products), so
-    rounding grows with log n and no determinant repair is needed; the last
-    product is carried into the next chunk.
+    least one step), P a ScaledMat of shape (c', ...) in the dtype of the
+    steps, so real steps are walked in float64.
+
+    Each chunk of c' steps is one work-efficient blocked scan of about two
+    products per step:
+      * B = c' when c' <= 32 (one block), else B = min(32, isqrt(c') + 1);
+      * the nb = ceil(c' / B) blocks, the last one padded with identities,
+        are multiplied sequentially, side by side: B - 1 rescaled products
+        on stacks of nb;
+      * the nb block totals are scanned by doubling (Hillis-Steele);
+      * one pass multiplies every block by its incoming product.
+    Rounding grows with B + log2(nb) within a chunk and by one product per
+    chunk, so no determinant repair is needed; the last product is carried
+    into the next chunk.
     """
     carry = None
     for block in steps:
         width = max(1, _CHUNK // max(int(np.prod(block.shape[1:-2])), 1))
         for s in range(0, len(block), width):
             a = block[s : s + width]
-            p = ScaledMat(a.copy(), np.zeros(a.shape[:-2]))
-            shift = 1
-            while shift < len(a):
-                tail = p[shift:].matmul(p[:-shift])
-                p.m[shift:], p.log_scale[shift:] = tail.m, tail.log_scale
-                shift *= 2
-            if carry is not None:
-                p = p.matmul(carry)
+            p = _scan_chunk(a, carry)
             carry = p[-1]
             yield a, p
 
@@ -540,7 +625,8 @@ class Cocycle:
         x = _as_points(x, self.dim)
         n = int(n)
         if n == 0:
-            m = np.broadcast_to(np.eye(2, dtype=complex), x.shape[:-1] + (2, 2))
+            eye = np.eye(2, dtype=np.result_type(x, float))
+            m = np.broadcast_to(eye, x.shape[:-1] + (2, 2))
             return ScaledMat(m.copy(), np.zeros(x.shape[:-1]))
         if n < 0:
             # A_{-n}(x) = A_n(f^{-n} x)^{-1}; the true product is unimodular

@@ -141,7 +141,7 @@ class AHCocycleExtension:
         if samples.ndim != 3 or samples.shape[1:] != (2, 2):
             raise ValueError("samples must be (G, 2, 2)")
         self.alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        self.samples = samples.real.astype(float)
+        self.samples = alg.as_real(samples, "AHCocycleExtension").astype(float)
         self.kernel = kernel
         self.dim = 1
 

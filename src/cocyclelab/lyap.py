@@ -1,10 +1,12 @@
 """Lyapunov exponent estimators and the rotation-twist average identity.
 
 The orbit estimator reads the growth of the first column of the orbit's
-prefix products (`cocycle.orbit_products`): ln|A_k(x) e_1| / k at k = n and,
-for the halving error proxy, at k = n // 2.  The contracting exponent
-follows exactly from the determinant, since the two exponents of a 2x2
-cocycle sum to the mean of ln|det A|.
+prefix products: ln|A_k(x) e_1| / k at k = n and, for the halving error
+proxy, at k = n // 2.  The products come from the one orbit walk,
+`cocycle.orbit_products`, a blocked scan over chunks of up to
+`cocycle._CHUNK` steps, in float64 for real cocycles.  The contracting
+exponent follows exactly from the determinant, since the two exponents of a
+2x2 cocycle sum to the mean of ln|det A|.
 Quadrature follows unique ergodicity: uniform grids for d = 1, a single
 ergodic orbit as quasi-Monte Carlo nodes for d >= 2.
 """
@@ -43,8 +45,7 @@ def _orbit_growth(steps, n):
     for a, p in orbit_products(steps):
         if done < half <= done + len(a):
             g_half = _log_first_column(p[half - done - 1])
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        log_det = log_det + np.sum(np.log(np.abs(det)), axis=0)
+        log_det = log_det + np.sum(np.log(np.abs(alg.det(a))), axis=0)
         done += len(a)
     value = _log_first_column(p[-1]) / n
     return value, np.abs(value - g_half / half), log_det / n - value
@@ -101,7 +102,7 @@ def lyapunov_theta_average(cocycle, theta_points=64, n=100000, x0=None):
         if isinstance(theta_points, np.ndarray)
         else (np.arange(theta_points) + 0.5) / theta_points
     )
-    rots = alg.rot(thetas).astype(complex)
+    rots = alg.rot(thetas)
     if x0 is None:
         x0 = np.full(cocycle.dim, np.sqrt(0.5) / 3)
     width = max(1, _CHUNK // len(rots))  # steps x thetas within one chunk

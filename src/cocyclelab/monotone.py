@@ -44,10 +44,8 @@ def _speed_range(family, theta, xs):
     Complexified members (any nonzero imaginary part) raise ValueError.
     """
     a, da = family.theta_jet(theta, xs, order=1)[:2]
-    if np.any(np.imag(a)) or np.any(np.imag(da)):
-        raise ValueError("monotonicity is defined for real members only")
-    inv = alg.adj(np.real(a))
-    b = alg.mul(np.real(da), inv)
+    inv = alg.adj(alg.as_real(a, "monotonicity"))
+    b = alg.mul(alg.as_real(da, "monotonicity"), inv)
     # H = sym(K B) = [[p, q], [q, r]] in the entries of B
     p, r = b[..., 1, 0], -b[..., 0, 1]
     q = (b[..., 1, 1] - b[..., 0, 0]) / 2.0

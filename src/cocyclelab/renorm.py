@@ -101,7 +101,8 @@ class RenormPair:
 
     def _iterate(self, x, steps):
         pts = (self.x_star + self.beta_prev * np.asarray(x, dtype=float))
-        return self.cocycle.iterate(pts[:, None], steps).value()
+        mats = self.cocycle.iterate(pts[:, None], steps).value()
+        return alg.as_real(mats, "renormalization")
 
     def eval0(self, x):
         sign = -1 if self.level % 2 == 0 else 1
@@ -181,7 +182,7 @@ class NormalizingMap:
     def __init__(self, pair, grid=256):
         self.pair = pair
         xs = np.linspace(0.0, 1.0, grid + 1)
-        mats = pair.eval0(xs).real
+        mats = pair.eval0(xs)
         smax, smin = alg.singular_values(mats)
         self.rotation_valued = float(np.max(np.abs(smax - 1.0))) < 1e-9
         if self.rotation_valued:
@@ -198,15 +199,15 @@ class NormalizingMap:
         # angle: exact quadratic kill of the affine part, stepped residual
         quad = self.aff_a * (u * u - u) / 2.0 + self.aff_b * u
         r0 = self.res_r[0]
-        return alg.rot(-(quad + _smooth_step(u) * r0)).real
+        return alg.rot(-(quad + _smooth_step(u) * r0))
 
     def _seed_polar(self, u):
         # exp(eta logp) = f I + g eta logp: logp is traceless and symmetric
         eta = _smooth_step(u)
         lp = self.logp
         f, g, _, _ = _cosh_family(eta**2 * (lp[0, 0] ** 2 + lp[0, 1] ** 2))
-        ge = (g.real * eta)[:, None, None]
-        expo = f.real[:, None, None] * np.eye(2) + ge * lp
+        ge = (g * eta)[:, None, None]
+        expo = f[:, None, None] * np.eye(2) + ge * lp
         return alg.mul(alg.rot(eta * self.angle / (2.0 * np.pi)), expo)
 
     def eval(self, x):
@@ -221,13 +222,13 @@ class NormalizingMap:
         todo = x > 1.0
         if np.any(todo):
             prev = self.eval(x[todo] - 1.0)
-            a0 = self.pair.eval0(x[todo] - 1.0).real
+            a0 = self.pair.eval0(x[todo] - 1.0)
             out[todo] = alg.mul(prev, alg.adj(a0))
         return out
 
     def residual(self, grid=64):
         xs = np.linspace(0.0, 1.0, grid, endpoint=False)
-        lhs = _conjugate(self, self.pair.eval0(xs).real, xs, 1.0)
+        lhs = _conjugate(self, self.pair.eval0(xs), xs, 1.0)
         return float(np.max(alg.spectral_norm(lhs - np.eye(2))))
 
 
@@ -261,9 +262,9 @@ def renorm_representative(pair, bmap=None, samples=1024, tol=1e-7):
     n = samples
     while True:
         xs = np.arange(n) / n
-        rep = _conjugate(bmap, pair.eval1(xs).real, xs, pair.alpha_n)
+        rep = _conjugate(bmap, pair.eval1(xs), xs, pair.alpha_n)
         sub = xs[:: max(n // 64, 1)] + 1.0
-        per = _conjugate(bmap, pair.eval1(sub).real, sub, pair.alpha_n)
+        per = _conjugate(bmap, pair.eval1(sub), sub, pair.alpha_n)
         res = float(
             np.max(alg.spectral_norm(per - rep[:: max(n // 64, 1)]))
         )

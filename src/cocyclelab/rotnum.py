@@ -176,9 +176,10 @@ def affine_fit(theta, rho):
 def fibered_rotation_number(cocycle, x0=None, n=100000, v0=(1.0, 0.0)):
     """Average projective angular speed of one orbit (revolutions/iterate).
 
-    Sums the nearest-image angle increments arg(z_k conj(z_{k-1})) of the
-    prefix images z_k = A_k(x0) v0 (as complex numbers), so each step adds
-    less than half a turn; returns (value mod 1, raw lift slope).  Real
+    Sums the nearest-image angle increments between the prefix images
+    u_k = A_k(x0) v0, atan2 of the cross and dot products of u_{k-1} and u_k
+    (no normalization needed), so each step adds less than half a turn;
+    returns (value mod 1, raw lift slope).  Real
     cocycles only: complex matrices or a complex v0 raise ValueError.
     Convenience for single cocycles; the paper-level object is the path
     variation above.
@@ -186,24 +187,19 @@ def fibered_rotation_number(cocycle, x0=None, n=100000, v0=(1.0, 0.0)):
     if x0 is None:
         x0 = np.full(cocycle.dim, np.sqrt(0.5) / 3)
     x0 = _as_points(x0, cocycle.dim).reshape(cocycle.dim)
-    v = np.asarray(v0)
-    if np.any(np.imag(v) != 0):
-        raise ValueError("fibered_rotation_number needs a real v0")
-    vx, vy = v.real
+    vx, vy = alg.as_real(v0, "fibered_rotation_number")
 
-    def real_steps():
-        for a in cocycle.orbit(x0, n):
-            if np.any(a.imag != 0):
-                raise ValueError("fibered_rotation_number needs a real cocycle")
-            yield a.real
-
-    prev = complex(vx, vy)
+    steps = (
+        alg.as_real(a, "fibered_rotation_number") for a in cocycle.orbit(x0, n)
+    )
+    px, py = vx, vy
     lift = 0.0
-    for _, p in orbit_products(real_steps()):
+    for _, p in orbit_products(steps):
         m = p.m
-        z = (m[:, 0, 0] + 1j * m[:, 1, 0]) * vx + (m[:, 0, 1] + 1j * m[:, 1, 1]) * vy
-        z = z / np.abs(z)
-        lift += np.sum(np.angle(z * np.conj(np.append(prev, z[:-1]))))
-        prev = z[-1]
+        ux = m[:, 0, 0] * vx + m[:, 0, 1] * vy
+        uy = m[:, 1, 0] * vx + m[:, 1, 1] * vy
+        px, py = np.append(px, ux[:-1]), np.append(py, uy[:-1])
+        lift += np.sum(np.arctan2(px * uy - py * ux, px * ux + py * uy))
+        px, py = ux[-1], uy[-1]
     slope = lift / (2 * np.pi) / n
     return float(np.mod(slope, 1.0)), float(slope)

@@ -308,3 +308,18 @@ def test_re_tau_hat_varies_less_than_half():
         ref = alg.tau(m, np.array([0.0j]))[0]
         spread = np.angle(t / ref) / (2 * np.pi)
         assert np.max(spread) - np.min(spread) < 0.5
+
+
+def test_rot_complex_angle_matches_cos_sin():
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(-1.0, 1.0, 4000) + 1j * rng.uniform(-0.5, 0.5, 4000)
+    th = 2.0 * np.pi * theta
+    c, s = np.cos(th), np.sin(th)
+    want = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    e = np.abs(np.exp(2j * np.pi * theta))
+    tol = 1e-15 * np.maximum(e, 1.0 / e)
+    err = np.max(np.abs(alg.rot(theta) - want), axis=(-2, -1))
+    assert np.all(err <= tol)
+    real = alg.rot(theta.real)
+    assert real.dtype == np.float64
+    assert np.array_equal(real[..., 0, 0], np.cos(2.0 * np.pi * theta.real))

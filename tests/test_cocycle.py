@@ -180,8 +180,10 @@ def test_cocycle_identity_property(s, n, m):
     rng = np.random.default_rng(s)
     c = cc.Cocycle([np.round(GOLD * 2**20) / 2**20], random_expr(rng))
     x = rng.integers(0, 2**20, (64, 1)) / 2**20
-    lhs = c.iterate(x, n + m)
-    a_m, a_n = c.iterate(x + n * c.alpha, m), c.iterate(x, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc, "_CHUNK", 4096)
+        lhs = c.iterate(x, n + m)
+        a_m, a_n = c.iterate(x + n * c.alpha, m), c.iterate(x, n)
     rhs = a_m.matmul(a_n)
     # rounding is relative to ||A_m|| ||A_n||, the natural scale of the product
     ref = a_m.log_norm() + a_n.log_norm()
@@ -291,3 +293,106 @@ def test_family_theta_jet_matches_fd():
         val, d1 = fam.theta_jet(0.21, x, order=1)
         fd = (fam.eval_theta(0.21 + h, x) - fam.eval_theta(0.21 - h, x)) / (2 * h)
         assert np.max(np.abs(d1 - fd)) < 1e-6
+
+
+def _sequential_prefix(steps):
+    """Prefix products A[k] ... A[0] by a plain loop, rescaled at each step.
+
+    The loop runs in extended precision where the platform has it: a
+    float64 loop over a few thousand hyperbolic steps already drifts by
+    1e-12 of the product's norm, more than the scan does.
+    """
+    steps = steps.astype(np.clongdouble if np.iscomplexobj(steps) else np.longdouble)
+    m = np.empty_like(steps)
+    ls = np.zeros(steps.shape[:-2], np.longdouble)
+    p, scale = np.broadcast_to(np.eye(2, dtype=steps.dtype), steps.shape[1:]), 0.0
+    for k, a in enumerate(steps):
+        p = a @ p
+        peak = np.max(np.abs(p), axis=(-2, -1))
+        p = p / peak[..., None, None]
+        scale = scale + np.log(peak)
+        m[k], ls[k] = p, scale
+    return m, ls
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 31, 32, 33, 100, 1025, 4097])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["scalar", "batch3"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_orbit_products_matches_sequential_loop(c, batch, kind):
+    # a chunk of c steps, then a single-block and a multi-block chunk that
+    # both start from a carry
+    rng = np.random.default_rng(c)
+    shape = (c + 40,) + batch
+    lam = np.exp(rng.uniform(-0.4, 0.4, shape))
+    steps = alg.rot(rng.uniform(0.0, 1.0, shape)) @ alg.mat2(lam, 0.0, 0.0, 1.0 / lam)
+    if kind == "complex":
+        steps = steps @ alg.rot(0.05j * rng.uniform(-1.0, 1.0, shape))
+    want_m, want_ls = _sequential_prefix(steps)
+    chunks = list(cc.orbit_products([steps[:c], steps[c : c + 7], steps[c + 7 :]]))
+    assert [len(a) for a, _ in chunks] == [c, 7, 33]
+    got_m = np.concatenate([p.m for _, p in chunks])
+    got_ls = np.concatenate([p.log_scale for _, p in chunks])
+    assert got_m.dtype == steps.dtype
+    diff = np.exp(got_ls - want_ls)[..., None, None] * got_m - want_m
+    norm = np.max(np.abs(want_m), axis=(-2, -1))
+    assert np.max(np.max(np.abs(diff), axis=(-2, -1)) / norm) < 1e-12
+
+
+@seed(1310)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dtype_rule_and_json_round_trip(s):
+    rng = np.random.default_rng(s)
+    expr = random_expr(rng)
+    x = rng.uniform(-1.0, 2.0, (16, 1))
+    a = expr.eval(x)
+    assert a.dtype == np.float64
+    # the same points as complex numbers continue the same values
+    ac = expr.eval(x.astype(complex))
+    assert ac.dtype == np.complex128
+    assert np.all(np.abs(ac - a) <= 1e-13 * (1.0 + np.abs(a)))
+    assert cc.Shift([0.01j], expr).eval(x).dtype == np.complex128
+    # the JSON text round trip evaluates bit-identically, with the same dtype
+    back = cc.node_from_json(json.loads(json.dumps(expr.to_json())))
+    for pts in (x, x + 0.02j):
+        want, got = expr.eval(pts), back.eval(pts)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_cosh_family_matches_mpmath():
+    # real and complex w on both sides of the series cut at |w| = 1
+    ws = np.array([-50.0, -3.0, -1.0, -0.5, -2e-5, 0.0, 1e-7, 2e-5, 0.9, 1.5, 40.0])
+
+    def g(z):
+        r = mp.sqrt(z)
+        return mp.sinh(r) / r if z != 0 else mp.mpf(1)
+
+    with mp.workdps(40):
+        for w in list(ws) + [0.3 + 0.8j, -2e-5 + 1e-5j, 2.0 - 3.0j]:
+            z = mp.mpc(w)
+            want = [mp.cosh(mp.sqrt(z)), g(z), mp.diff(g, z), mp.diff(g, z, 2)]
+            for arg in (w, complex(w)) if np.isreal(w) else (w,):
+                got = cc._cosh_family(np.array([arg]))
+                for v, ref in zip(got, want):
+                    assert v.dtype == np.asarray(arg).dtype
+                    err = abs(complex(v[0]) - complex(ref))
+                    assert err <= 1e-15 * max(1.0, abs(complex(ref)))
+
+
+def test_exp_sl2_real_branch_matches_complex():
+    # w = 9 (0.81 cos^2 - 0.25) spans elliptic (w < -1) and hyperbolic
+    # (w > 1) points, the series region |w| < 1 and w = 0
+    s1 = TrigPoly.cosine((1,), 0.9)
+    z = TrigPoly.zero(1)
+    s3 = TrigPoly.constant(0.5)
+    expr = cc.ExpSl2(s1, z, s3, t=3.0)
+    x = np.concatenate([np.linspace(0.0, 1.0, 33), [np.arccos(5 / 9) / (2 * np.pi)]])
+    x = x[:, None]
+    jets = expr.jet(x, [1.0], order=2)
+    cjets = expr.jet(x.astype(complex), [1.0], order=2)
+    w = -alg.det(expr._smat(x))
+    assert np.any(w < -1) and np.any(w > 1) and np.any(np.abs(w) < 1e-6)
+    for got, want in zip(jets, cjets):
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.max(np.abs(got - want)) < 1e-13 * (1.0 + np.max(np.abs(got)))

@@ -158,7 +158,8 @@ def _benettin_reference(mats):
     ],
     ids=["herman", "complexified"],
 )
-def test_lyapunov_orbit_matches_benettin_reference(cocycle):
+def test_lyapunov_orbit_matches_benettin_reference(cocycle, monkeypatch):
+    monkeypatch.setattr(cc, "_CHUNK", 4096)
     n = 3 * cc._CHUNK + 17  # three full chunks of the walk and a partial one
     x0 = np.array([0.29])
     mats = cocycle.eval(x0 + np.arange(n)[:, None] * cocycle.alpha)
@@ -167,3 +168,15 @@ def test_lyapunov_orbit_matches_benettin_reference(cocycle):
     assert est.value == pytest.approx(value, abs=1e-12)
     assert est.error_proxy == pytest.approx(proxy, abs=1e-12)
     assert est.second == pytest.approx(second, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2**12, 2**16])
+@pytest.mark.parametrize("x0", [0.1, 0.37, 0.8])
+def test_lyapunov_orbit_conjugacy_invariant(n, x0):
+    # the conjugate's A_n e_1 is B(x + n alpha) A_n(x) e_1, since the shear
+    # B(x)^-1 fixes e_1; ||B|| < 1.3 bounds the gap by ln(1.3) / n
+    c = cc.Cocycle([GOLD], cc.herman(2.0, (1,)))
+    conj = c.conjugated(cc.ShearU(TrigPoly.cosine((1,), 0.5)))
+    a = lyap.lyapunov_orbit(c, x0=[x0], n=n).value
+    b = lyap.lyapunov_orbit(conj, x0=[x0], n=n).value
+    assert abs(a - b) <= 1.0 / n

@@ -196,7 +196,8 @@ def _moebius_reference(mats, z):
     ],
     ids=["conjugated-rotation", "herman-shear"],
 )
-def test_fibered_rotation_matches_angle_reference(expr):
+def test_fibered_rotation_matches_angle_reference(expr, monkeypatch):
+    monkeypatch.setattr(cc, "_CHUNK", 4096)
     c = cc.Cocycle([GOLD], expr)
     n = 3 * cc._CHUNK + 17  # three full chunks of the walk and a partial one
     x0 = np.array([0.29])
@@ -208,7 +209,8 @@ def test_fibered_rotation_matches_angle_reference(expr):
 
 
 @pytest.mark.parametrize("theta_imag, z0", [(0.0, 1.0 + 0.0j), (0.05, 0.0j)])
-def test_transport_orbit_matches_moebius_reference(theta_imag, z0):
+def test_transport_orbit_matches_moebius_reference(theta_imag, z0, monkeypatch):
+    monkeypatch.setattr(cc, "_CHUNK", 4096)
     fam = cc.Family.rot_twist(cc.Cocycle([GOLD], cc.herman(1.5, (1,))))
     n = 3 * cc._CHUNK + 17
     xs = 0.29 + np.arange(n)[:, None] * fam.alpha
